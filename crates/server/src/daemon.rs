@@ -2,9 +2,9 @@
 //!
 //! Structure:
 //!
-//! * One **listener thread** accepts Unix-socket connections (nonblocking
-//!   accept + a 50 ms poll so shutdown is always observed promptly) and
-//!   spawns a short-lived handler thread per connection.
+//! * One **listener thread** blocks in `accept()` on the Unix socket and
+//!   spawns a short-lived handler thread per connection. At shutdown the
+//!   daemon wakes it by connecting to its own socket.
 //! * `slots` **executor threads** pull campaign slices from the fair-share
 //!   [`crate::scheduler::Scheduler`] and run them through the configured
 //!   [`crate::runner::CampaignRunner`]. A slice panic is caught, not
@@ -28,6 +28,12 @@
 //!   reaches the same final state byte-for-byte — the chaos smoke proves
 //!   it by hashing result artifacts.
 //!
+//! Nothing a request waits on polls. Every campaign state transition
+//! happens under the state mutex and notifies the state condvar while
+//! holding it, which wakes idle slots, watch streams and the drain. The
+//! only timed wait is [`Daemon::run`] reading the host's signal latch,
+//! because a signal handler can do no more than store an atomic.
+//!
 //! Lock ordering: the daemon state mutex is taken before the ledger
 //! mutex, never the other way around.
 
@@ -50,9 +56,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How often blocked loops (listener accept, slot idle, watch polling,
-/// drain waits) re-check their exit conditions.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
+/// How often [`Daemon::run`] reads the host's signal latch. The
+/// `Shutdown` verb does not wait for it: a drain notifies the state
+/// condvar.
+const SIGNAL_LATCH_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Pause after a failed `accept()`, so a persistent error (descriptor
+/// exhaustion) does not spin the listener.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Consecutive slice panics before a campaign is declared failed.
 const CAMPAIGN_FAULT_BUDGET: u32 = 3;
@@ -172,6 +183,9 @@ impl Shared {
             self.obs.info(format!("draining: {why}"));
             self.emit_service("", 0, "draining", why);
         }
+        // Notify under the lock: a waiter between its `draining` check and
+        // its `wait` would otherwise miss the flag.
+        let _st = self.state.lock().expect("state lock");
         self.cv.notify_all();
     }
 }
@@ -247,9 +261,6 @@ impl Daemon {
         }
         let listener =
             UnixListener::bind(&config.socket).map_err(|e| ServerError::io("binding socket", e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| ServerError::io("setting socket nonblocking", e))?;
 
         let slots = config.slots.max(1);
         let shared = Arc::new(Shared {
@@ -313,12 +324,25 @@ impl Daemon {
     ///
     /// [`ServerError`] when the final flushes fail.
     pub fn run(self, stop: &AtomicBool) -> Result<(), ServerError> {
-        while !self.shared.draining.load(Ordering::Acquire) {
-            if stop.load(Ordering::Acquire) {
-                self.shared.begin_drain("signal");
-                break;
+        let signalled = {
+            let mut st = self.shared.state.lock().expect("state lock");
+            loop {
+                if self.shared.draining.load(Ordering::Acquire) {
+                    break false;
+                }
+                if stop.load(Ordering::Acquire) {
+                    break true;
+                }
+                st = self
+                    .shared
+                    .cv
+                    .wait_timeout(st, SIGNAL_LATCH_INTERVAL)
+                    .expect("state lock")
+                    .0;
             }
-            std::thread::sleep(POLL_INTERVAL);
+        };
+        if signalled {
+            self.shared.begin_drain("signal");
         }
         self.finish()
     }
@@ -335,21 +359,22 @@ impl Daemon {
         {
             let mut st = self.shared.state.lock().expect("state lock");
             while st.dispatched > 0 {
-                let (next, _) = self
-                    .shared
-                    .cv
-                    .wait_timeout(st, POLL_INTERVAL)
-                    .expect("state lock");
-                st = next;
+                st = self.shared.cv.wait(st).expect("state lock");
             }
+            self.shared.shutdown.store(true, Ordering::Release);
+            self.shared.cv.notify_all();
         }
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.cv.notify_all();
         for handle in self.slots.drain(..) {
             let _ = handle.join();
         }
+        // The listener is blocked in `accept()`: a connection of our own
+        // wakes it to see `shutdown`. If that connection cannot be made
+        // (the socket file is gone) the listener would never return, so it
+        // is left detached rather than joined.
         if let Some(handle) = self.listener.take() {
-            let _ = handle.join();
+            if let Ok(_wake) = UnixStream::connect(&self.shared.config.socket) {
+                let _ = handle.join();
+            }
         }
         let _ = std::fs::remove_file(&self.shared.config.socket);
 
@@ -397,9 +422,11 @@ fn claim_job(shared: &Shared) -> Option<Job> {
                     meta.detail = "cancelled while queued".into();
                     st.scheduler.release(&tenant);
                     shared.record_closed(id, &tenant, CampaignState::Cancelled, "while queued");
+                    shared.cv.notify_all();
                     continue;
                 }
                 meta.state = CampaignState::Running;
+                shared.cv.notify_all();
                 let job = Job {
                     id,
                     tenant,
@@ -410,11 +437,7 @@ fn claim_job(shared: &Shared) -> Option<Job> {
                 return Some(job);
             }
         }
-        let (next, _) = shared
-            .cv
-            .wait_timeout(guard, POLL_INTERVAL)
-            .expect("state lock");
-        guard = next;
+        guard = shared.cv.wait(guard).expect("state lock");
     }
 }
 
@@ -545,15 +568,18 @@ fn settle_panic(shared: &Shared, job: &Job) {
     shared.cv.notify_all();
 }
 
-/// Accept loop: nonblocking accept polled every [`POLL_INTERVAL`] so a
-/// drain is observed promptly; one short-lived thread per connection.
+/// Accept loop: blocks in `accept()` and spawns one short-lived thread per
+/// connection. [`Daemon::finish`] sets `shutdown` and then connects to the
+/// socket itself; the check right after each accept ends the loop, so that
+/// wake-up connection is neither chaos-dropped nor counted.
 fn listener_loop(listener: &UnixListener, shared: &Arc<Shared>) {
     let accepted = shared.obs.counter("server.connections_accepted");
     loop {
+        let connection = listener.accept();
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        match listener.accept() {
+        match connection {
             Ok((stream, _addr)) => {
                 if shared
                     .config
@@ -572,12 +598,9 @@ fn listener_loop(listener: &UnixListener, shared: &Arc<Shared>) {
                     .name("permea-conn".into())
                     .spawn(move || handle_connection(stream, &shared));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
             Err(e) => {
                 shared.obs.error(format!("accept failed: {e}"));
-                std::thread::sleep(POLL_INTERVAL);
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
             }
         }
     }
@@ -686,10 +709,10 @@ fn handle_submit(shared: &Shared, tenant: &str, payload: String) -> Response {
             faults: 0,
         },
     );
+    shared.cv.notify_all();
     drop(st);
     shared.obs.counter("server.submissions_accepted").inc();
     shared.emit_service(tenant, id, "submitted", "");
-    shared.cv.notify_all();
     Response::Submitted { id }
 }
 
@@ -754,39 +777,41 @@ fn build_status(shared: &Shared) -> ServerStatus {
     status
 }
 
-/// Watch stream: polls the campaign's state and pushes an update on every
-/// change, ending after the first terminal update (or when the client or
-/// daemon goes away).
+/// Watch stream: sends the campaign's current state, then one update per
+/// change of `(state, detail)`, waiting on the state condvar in between.
+/// Every transition notifies that condvar under the state lock, so the
+/// watch wakes for each one; only a state that ends before the woken
+/// watch gets the lock back is folded into its successor. Ends after the
+/// first terminal update, or when the client goes away or the daemon
+/// shuts down.
 fn handle_watch(stream: &mut UnixStream, shared: &Shared, id: u64) {
     let mut last: Option<(CampaignState, String)> = None;
     loop {
-        let current = {
-            let st = shared.state.lock().expect("state lock");
-            st.campaigns
-                .get(&id)
-                .map(|meta| (meta.state, meta.detail.clone()))
-        };
-        let Some((state, detail)) = current else {
-            let _ = write_message(stream, &Response::NotFound { id });
-            return;
-        };
-        if last.as_ref() != Some(&(state, detail.clone())) {
-            let update = Response::Update {
-                id,
-                state,
-                detail: detail.clone(),
-            };
-            if write_message(stream, &update).is_err() {
-                return; // client vanished
+        let (state, detail) = {
+            let mut st = shared.state.lock().expect("state lock");
+            loop {
+                let Some(meta) = st.campaigns.get(&id) else {
+                    drop(st);
+                    let _ = write_message(stream, &Response::NotFound { id });
+                    return;
+                };
+                if !matches!(&last, Some((s, d)) if *s == meta.state && *d == meta.detail) {
+                    break (meta.state, meta.detail.clone());
+                }
+                if shared.shutdown.load(Ordering::Acquire) {
+                    return;
+                }
+                st = shared.cv.wait(st).expect("state lock");
             }
-            if state.is_terminal() {
-                return;
-            }
-            last = Some((state, detail));
+        };
+        let update = Response::Update {
+            id,
+            state,
+            detail: detail.clone(),
+        };
+        if write_message(stream, &update).is_err() || state.is_terminal() {
+            return; // client vanished, or the stream is complete
         }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        std::thread::sleep(POLL_INTERVAL);
+        last = Some((state, detail));
     }
 }

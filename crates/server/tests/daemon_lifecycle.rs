@@ -10,19 +10,22 @@
 use permea_obs::Obs;
 use permea_server::runner::{CampaignRunner, SliceOutcome, SliceRequest};
 use permea_server::{
-    CampaignState, Client, Daemon, QuotaConfig, RejectReason, Response, ServerConfig, ServerStatus,
+    CampaignState, Client, Daemon, QuotaConfig, RejectReason, Response, ServerConfig, ServerError,
+    ServerStatus,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const DEADLINE: Duration = Duration::from_secs(30);
 
 /// Toy campaign: the payload is the decimal number of slices it takes.
-/// Slices block on a shared gate until the test opens it, so tests control
-/// exactly when work is considered in-flight.
+/// Slices block on a shared gate until the test lets them through, so tests
+/// control exactly when work is considered in-flight.
 #[derive(Default)]
 struct ToyRunner {
     /// Slices left per campaign id; survives daemon restarts like a run
@@ -30,13 +33,20 @@ struct ToyRunner {
     remaining: Mutex<HashMap<u64, u64>>,
     /// One `(tenant, campaign)` entry per executed slice, in order.
     executed: Mutex<Vec<(String, u64)>>,
-    gate: Mutex<bool>,
+    /// Slices still allowed to start; `u64::MAX` once the gate is open.
+    gate: Mutex<u64>,
     gate_cv: Condvar,
 }
 
 impl ToyRunner {
     fn open_gate(&self) {
-        *self.gate.lock().unwrap() = true;
+        *self.gate.lock().unwrap() = u64::MAX;
+        self.gate_cv.notify_all();
+    }
+
+    /// Lets exactly one more slice start.
+    fn admit_one(&self) {
+        *self.gate.lock().unwrap() += 1;
         self.gate_cv.notify_all();
     }
 
@@ -55,9 +65,12 @@ impl CampaignRunner for ToyRunner {
 
     fn run_slice(&self, req: &SliceRequest<'_>) -> SliceOutcome {
         {
-            let mut open = self.gate.lock().unwrap();
-            while !*open {
-                open = self.gate_cv.wait(open).unwrap();
+            let mut passes = self.gate.lock().unwrap();
+            while *passes == 0 {
+                passes = self.gate_cv.wait(passes).unwrap();
+            }
+            if *passes != u64::MAX {
+                *passes -= 1;
             }
         }
         if req.cancel.load(Ordering::Acquire) {
@@ -306,4 +319,150 @@ fn cancelling_a_queued_campaign_never_runs_it() {
     let executed = runner.executed();
     assert_eq!(executed.len(), 1);
     assert_eq!(executed[0].1, first, "the cancelled campaign never ran");
+}
+
+/// One watch-stream update: the campaign state and its detail.
+type Update = (CampaignState, String);
+
+/// Opens a watch on `id` in a background thread. Every update is sent on
+/// the returned channel; the thread's result is the watch's outcome.
+fn spawn_watch(
+    socket: &Path,
+    id: u64,
+) -> (Receiver<Update>, JoinHandle<Result<Update, ServerError>>) {
+    let mut client = connect(socket);
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        client.watch(id, |state, detail| {
+            let _ = tx.send((state, detail.to_string()));
+        })
+    });
+    (rx, handle)
+}
+
+fn next_update(updates: &Receiver<Update>) -> Update {
+    updates
+        .recv_timeout(DEADLINE)
+        .expect("watch stream went quiet")
+}
+
+/// Runs `daemon.finish()` on a helper thread and fails the test if it does
+/// not return within [`DEADLINE`] (a listener blocked in `accept()` that
+/// was never woken would hang it forever).
+fn finish_within_deadline(daemon: Daemon) {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(daemon.finish());
+    });
+    rx.recv_timeout(DEADLINE)
+        .expect("finish() did not return")
+        .expect("drain flushes");
+}
+
+/// `server.connections_accepted` from the drained `metrics.json`.
+fn connections_accepted(dir: &Path) -> u64 {
+    let text = std::fs::read_to_string(dir.join("metrics.json")).expect("metrics.json");
+    let metrics: serde_json::Value = serde_json::from_str(&text).expect("metrics.json parses");
+    let counter = ["process", "counters", "server.connections_accepted"]
+        .iter()
+        .try_fold(&metrics, |value, key| {
+            value
+                .as_map()?
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v)
+        });
+    match counter {
+        None => 0,
+        Some(serde_json::Value::U64(n)) => *n,
+        Some(other) => panic!("connections_accepted is not a count: {other:?}"),
+    }
+}
+
+#[test]
+fn watch_streams_every_transition_in_order() {
+    let dir = state_dir("watch-order");
+    let runner = Arc::new(ToyRunner::default());
+    let daemon = Daemon::start(config(&dir, 1), runner.clone(), Obs::disabled()).unwrap();
+    let socket = daemon.socket().to_path_buf();
+
+    // A blocker holds the only slot, so the watched campaign starts queued.
+    submit_id(&socket, "alice", 1);
+    wait_status(&socket, "blocker to hold the slot", |s| s.running == 1);
+    let id = submit_id(&socket, "bob", 1);
+    let (updates, watch) = spawn_watch(&socket, id);
+    assert_eq!(next_update(&updates).0, CampaignState::Queued);
+
+    // Releasing only the blocker's slice lets the slot claim the watched
+    // campaign, whose own slice then waits at the gate: it is Running
+    // until the gate opens.
+    runner.admit_one();
+    assert_eq!(next_update(&updates).0, CampaignState::Running);
+    runner.open_gate();
+    assert_eq!(next_update(&updates).0, CampaignState::Completed);
+
+    let (state, _) = watch
+        .join()
+        .unwrap()
+        .expect("watch ends on the terminal update");
+    assert_eq!(state, CampaignState::Completed);
+    assert!(
+        updates.try_recv().is_err(),
+        "no update after the terminal one"
+    );
+    daemon.finish().unwrap();
+}
+
+#[test]
+fn finish_returns_on_a_daemon_that_never_accepted() {
+    let dir = state_dir("finish-idle");
+    let runner = Arc::new(ToyRunner::default());
+    let daemon = Daemon::start(config(&dir, 2), runner, Obs::with_sinks(Vec::new())).unwrap();
+    let socket = daemon.socket().to_path_buf();
+
+    finish_within_deadline(daemon);
+    assert!(!socket.exists(), "drain must remove the socket");
+    assert_eq!(
+        connections_accepted(&dir),
+        0,
+        "the listener's wake-up connection is not a client"
+    );
+}
+
+#[test]
+fn finish_ends_a_watch_on_a_campaign_the_drain_parks() {
+    let dir = state_dir("finish-watch");
+    let runner = Arc::new(ToyRunner::default());
+    let daemon =
+        Daemon::start(config(&dir, 1), runner.clone(), Obs::with_sinks(Vec::new())).unwrap();
+    let socket = daemon.socket().to_path_buf();
+
+    // Two client connections in all: the submit and the watch.
+    let id = submit_id(&socket, "alice", 3);
+    let (updates, watch) = spawn_watch(&socket, id);
+    let mut update = next_update(&updates);
+    if update.0 == CampaignState::Queued {
+        update = next_update(&updates);
+    }
+    assert_eq!(update.0, CampaignState::Running);
+
+    // The in-flight slice finishes after the drain starts, so the campaign
+    // parks instead of completing; finish must still end the watch.
+    daemon.request_drain();
+    runner.open_gate();
+    finish_within_deadline(daemon);
+    assert_eq!(
+        next_update(&updates),
+        (CampaignState::Queued, "parked by drain".to_string())
+    );
+    assert!(
+        watch.join().unwrap().is_err(),
+        "a watch on a parked campaign ends without a terminal state"
+    );
+    assert_eq!(runner.executed().len(), 1);
+    assert_eq!(
+        connections_accepted(&dir),
+        2,
+        "only the submit and the watch are counted"
+    );
 }

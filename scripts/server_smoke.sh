@@ -55,6 +55,27 @@ wait_for_socket() {
     exit 1
 }
 
+# Waits for the daemon to exit and returns its exit status. A daemon still
+# running after DRAIN_TIMEOUT_S seconds is killed, its log is printed and
+# the script fails, so a drain that never completes cannot hang the run.
+DRAIN_TIMEOUT_S=120
+wait_daemon() {
+    local log="$1"
+    for _ in $(seq 1 $((DRAIN_TIMEOUT_S * 20))); do
+        if ! kill -0 "$SRV" 2>/dev/null; then
+            wait "$SRV"
+            return
+        fi
+        sleep 0.05
+    done
+    echo "FAIL: daemon did not exit within ${DRAIN_TIMEOUT_S}s; its log:" >&2
+    cat "$log" >&2
+    kill -9 "$SRV" 2>/dev/null || true
+    wait "$SRV" 2>/dev/null || true
+    SRV=""
+    exit 1
+}
+
 journal_lines() {
     wc -l <"$1" 2>/dev/null || echo 0
 }
@@ -103,7 +124,7 @@ cmp "$STATE/campaigns/$ID_BOB/result.json" "$WORK/ref-bob/result.json"
 echo "results are byte-identical to the standalone runs"
 
 "$CLI" --socket "$SOCK" shutdown >/dev/null 2>&1
-wait "$SRV"
+wait_daemon "$WORK/server2.log"
 SRV=""
 
 echo "== phase 2: SIGTERM drains with exit 0, restart re-runs nothing =="
@@ -123,7 +144,7 @@ for _ in $(seq 1 400); do
 done
 
 kill -TERM "$SRV"
-if ! wait "$SRV"; then
+if ! wait_daemon "$WORK/server3.log"; then
     echo "FAIL: SIGTERM drain did not exit 0" >&2
     exit 1
 fi
@@ -147,7 +168,7 @@ SRV=$!
 wait_for_socket "$SOCK"
 "$CLI" --socket "$SOCK" watch "$ID" 2>/dev/null
 "$CLI" --socket "$SOCK" shutdown >/dev/null 2>&1
-wait "$SRV"
+wait_daemon "$WORK/server4.log"
 SRV=""
 
 cmp "$STATE/campaigns/$ID/result.json" "$WORK/ref-quick/result.json"
