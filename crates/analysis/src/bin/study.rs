@@ -191,7 +191,7 @@ fn journal_command() -> ExitCode {
         }
         Err(e) => {
             eprintln!("journal merge failed: {e}");
-            ExitCode::FAILURE
+            ExitCode::from(exit::classify_error(&e))
         }
     }
 }

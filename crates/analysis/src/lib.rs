@@ -2,8 +2,6 @@
 //!
 //! Orchestrates the full reproduction of Sections 7–8:
 //!
-//! * [`factory`] — adapts the arrestment system to the fault-injection
-//!   campaign executor,
 //! * [`study`] — runs the campaign (4 000 injections per input signal in the
 //!   full configuration), estimates the permeability matrix, computes every
 //!   derived measure, builds all trees and paths,
@@ -26,7 +24,6 @@
 pub mod checks;
 pub mod exit;
 pub mod explorer;
-pub mod factory;
 pub mod figures;
 pub mod fivemod;
 pub mod placement_experiment;
@@ -40,8 +37,8 @@ pub mod validation;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::checks::{run_shape_checks, ShapeCheck};
-    pub use crate::factory::ArrestmentFactory;
     pub use crate::study::{Study, StudyConfig, StudyOutput};
+    pub use permea_target::arrestment::ArrestmentFactory;
 }
 
 pub use prelude::*;

@@ -12,7 +12,6 @@
 //!   and measures how many system-output failures disappear. Reproduces
 //!   OB5: guarding `SetValue` + `OutValue` shields `TOC2`.
 
-use crate::factory::ArrestmentFactory;
 use permea_arrestment::system::{ArrestmentSystem, ExtraModule};
 use permea_arrestment::testcase::TestCase;
 use permea_fi::campaign::{Campaign, CampaignConfig, FnSystemFactory, SystemFactory};
@@ -25,6 +24,7 @@ use permea_mech::eval::{DetectionStudy, PlacementCoverage, RecoveryOutcome, Reco
 use permea_mech::guard::{GuardModule, SignalGuard};
 use permea_mech::recovery::HoldLastGood;
 use permea_runtime::scheduler::Schedule;
+use permea_target::arrestment::ArrestmentFactory;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the placement experiments.

@@ -9,7 +9,6 @@
 //! workload corner separately; [`ordering_stability`] quantifies how stable
 //! the module ordering actually is (Kendall-style pairwise agreement).
 
-use crate::factory::ArrestmentFactory;
 use permea_arrestment::system::ArrestmentSystem;
 use permea_arrestment::testcase::TestCase;
 use permea_core::graph::PermeabilityGraph;
@@ -20,6 +19,7 @@ use permea_fi::error::FiError;
 use permea_fi::estimate::estimate_matrix;
 use permea_fi::model::ErrorModel;
 use permea_fi::spec::{CampaignSpec, InjectionScope, PortTarget};
+use permea_target::arrestment::ArrestmentFactory;
 use serde::{Deserialize, Serialize};
 
 /// One workload corner with its estimated permeability matrix.

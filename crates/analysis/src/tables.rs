@@ -200,7 +200,7 @@ pub fn render_whatif(
 }
 
 /// Greedy complementary EDM cover of the non-zero propagation paths (the
-/// set-cover refinement of the paper's [18]-style subset selection).
+/// set-cover refinement of the paper's \[18\]-style subset selection).
 pub fn render_edm_cover(topology: &SystemTopology, paths: &PathSet, k: usize) -> String {
     use permea_core::coverage::greedy_cover;
     let mut out = String::new();

@@ -20,13 +20,13 @@
 //! framework's design guidance uses, and [`orderings_agree`] checks exactly
 //! that, with a tolerance.
 
-use crate::factory::ArrestmentFactory;
 use crate::study::StudyOutput;
 use permea_arrestment::testcase::TestCase;
 use permea_fi::campaign::{Campaign, CampaignConfig};
 use permea_fi::error::FiError;
 use permea_fi::model::ErrorModel;
 use permea_fi::spec::{InjectionScope, PortTarget};
+use permea_target::arrestment::ArrestmentFactory;
 use serde::{Deserialize, Serialize};
 
 /// Predicted vs measured end-to-end propagation for one system input.

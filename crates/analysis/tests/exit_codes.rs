@@ -210,4 +210,19 @@ fn environment_failure_exits_four() {
         "failed artifact write must not leave a result.json behind"
     );
     std::fs::remove_dir_all(&out).ok();
+    // `study journal merge` follows the same contract: an unreadable shard
+    // journal is an environment failure.
+    let out = scratch("env_merge");
+    let status = study()
+        .args(["journal", "merge", "--out"])
+        .arg(out.join("merged.jsonl"))
+        .arg(out.join("missing-shard.jsonl"))
+        .output()
+        .expect("study runs");
+    assert_eq!(
+        status.status.code(),
+        Some(4),
+        "stderr: {}",
+        String::from_utf8_lossy(&status.stderr)
+    );
 }

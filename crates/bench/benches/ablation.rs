@@ -8,12 +8,12 @@
 //! * **error model sensitivity** — bit flips vs stuck-at vs offsets.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use permea_analysis::factory::ArrestmentFactory;
 use permea_arrestment::testcase::TestCase;
 use permea_fi::campaign::{Campaign, CampaignConfig};
 use permea_fi::model::ErrorModel;
 use permea_fi::results::CampaignResult;
 use permea_fi::spec::{CampaignSpec, InjectionScope, PortTarget};
+use permea_target::arrestment::ArrestmentFactory;
 use std::hint::black_box;
 
 fn targets() -> Vec<PortTarget> {

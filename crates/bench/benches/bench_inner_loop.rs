@@ -13,13 +13,13 @@
 //! BENCH_INNER_LOOP_OUT=/tmp/b.json cargo bench -p permea-bench --bench bench_inner_loop
 //! ```
 
-use permea_analysis::factory::ArrestmentFactory;
 use permea_arrestment::system::ArrestmentSystem;
 use permea_arrestment::testcase::TestCase;
 use permea_fi::campaign::{Campaign, CampaignConfig};
 use permea_fi::model::ErrorModel;
 use permea_fi::spec::{CampaignSpec, InjectionScope, PortTarget};
 use permea_runtime::tracing::first_mismatch;
+use permea_target::arrestment::ArrestmentFactory;
 use permea_target::registry::Registry;
 use std::hint::black_box;
 use std::time::Instant;

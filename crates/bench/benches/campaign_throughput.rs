@@ -2,12 +2,12 @@
 //! simulation ticks, golden runs, injected runs and parallel scaling.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use permea_analysis::factory::ArrestmentFactory;
 use permea_arrestment::system::ArrestmentSystem;
 use permea_arrestment::testcase::TestCase;
 use permea_fi::campaign::{Campaign, CampaignConfig, SystemFactory};
 use permea_fi::model::ErrorModel;
 use permea_fi::spec::{CampaignSpec, InjectionScope, PortTarget};
+use permea_target::arrestment::ArrestmentFactory;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {

@@ -4,7 +4,6 @@
 //! (counts → matrix) and a single injection run (the unit of campaign cost).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use permea_analysis::factory::ArrestmentFactory;
 use permea_analysis::tables;
 use permea_arrestment::testcase::TestCase;
 use permea_bench::shared_study;
@@ -12,6 +11,7 @@ use permea_fi::campaign::{Campaign, CampaignConfig};
 use permea_fi::estimate::estimate_matrix;
 use permea_fi::model::ErrorModel;
 use permea_fi::spec::{InjectionScope, PortTarget};
+use permea_target::arrestment::ArrestmentFactory;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {

@@ -1,7 +1,7 @@
 //! Complementary EDM placement: covering propagation paths with few
 //! detectors.
 //!
-//! The paper's related work ([18]) selects EDM subsets that minimise overlap
+//! The paper's related work (\[18\]) selects EDM subsets that minimise overlap
 //! between detectors. This module brings that idea to the permeability
 //! framework: a detector on signal `S` covers every propagation path that
 //! visits `S`; choosing the next detector by *marginal* covered weight (a

@@ -17,6 +17,7 @@ use permea_core::placement::PlacementAdvisor;
 use permea_core::topology::{SystemTopology, TopologyBuilder};
 use permea_explorer::{ExplorerData, EXPLORER_JS};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A deliberately awkward system: two externals, a feedback loop through
 /// B←C, a module with several inputs and outputs, and two system outputs.
@@ -74,7 +75,11 @@ fn build_data() -> ExplorerData {
 /// Runs `node` with a harness that loads the shipped explorer.js and
 /// self-checks the given data. Returns `None` when node is unavailable.
 fn run_node_selfcheck(data_json: &str) -> Option<(bool, String)> {
-    let dir = std::env::temp_dir().join(format!("permea-crosscheck-{}", std::process::id()));
+    // One directory per call: the tests run on parallel threads of one
+    // process, and each removes its directory when done.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("permea-crosscheck-{}-{call}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let js_path = dir.join("explorer.js");
     let data_path = dir.join("data.json");

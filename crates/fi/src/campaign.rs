@@ -208,8 +208,8 @@ impl Default for CampaignConfig {
 }
 
 /// A [`GoldenRun`] plus the snapshots that let injection runs fast-forward:
-/// one at every injection instant (fork points) and one every
-/// [`CHECKPOINT_CADENCE_MS`] (convergence checkpoints).
+/// one at every injection instant (fork points) and one every 100 ms
+/// (`CHECKPOINT_CADENCE_MS`, convergence checkpoints).
 #[derive(Debug, Clone)]
 pub struct GoldenBundle {
     /// The reference run.
@@ -505,8 +505,8 @@ impl<'f> Campaign<'f> {
 
     /// Records the Golden Run for one case together with the fast-forward
     /// snapshots: one at each of `instants` (fork points, normally the
-    /// spec's injection instants) and one every [`CHECKPOINT_CADENCE_MS`]
-    /// (convergence checkpoints). With `fast_forward` disabled this is just
+    /// spec's injection instants) and one every 100 ms
+    /// (`CHECKPOINT_CADENCE_MS`, convergence checkpoints). With `fast_forward` disabled this is just
     /// [`Campaign::golden`] wrapped snapshot-free.
     ///
     /// # Errors

@@ -16,47 +16,33 @@
 //!   campaign being run; any disagreement is a typed
 //!   [`FiError::JournalMismatch`] — a journal never silently contaminates a
 //!   different campaign.
-//! * lines 2.. — one [`JournalEntry`] per finished run.
+//! * lines 2.. — one CRC32-framed [`JournalEntry`] per finished run.
 //!
-//! Durability: every appended record is flushed to the OS immediately (so a
-//! process kill loses nothing), and `fsync`ed in configurable batches
-//! (default [`DEFAULT_FSYNC_INTERVAL`], see [`RunJournal::set_fsync_interval`])
-//! bounding loss on power failure. A torn final line — the signature of
-//! `kill -9` mid-write — is detected on open, reported via
-//! [`LoadedJournal::truncated_tail`], and truncated away before appending
-//! resumes so the file stays parseable.
+//! The file is a [`crate::framed_log`], which owns the format, the
+//! torn-tail vs mid-file corruption rule ([`FiError::JournalCorrupt`]
+//! names the first corrupt line), the bounded `ENOSPC` retry
+//! ([`FiError::JournalDiskFull`]) and the repair after a failed append.
+//! Every record is handed to the OS immediately (so a process kill loses
+//! nothing) and `fsync`ed in batches (default [`DEFAULT_FSYNC_INTERVAL`],
+//! see [`RunJournal::set_fsync_interval`]), bounding loss on power failure.
+//! A torn tail — the signature of `kill -9` mid-write — is reported via
+//! [`LoadedJournal::truncated_tail`] and cut away before appending resumes.
 //!
 //! Each entry also carries the run's deterministic
 //! [`RunStats`] (ticks simulated, fast-forward shortcuts taken), which is
 //! what lets a resumed campaign's telemetry totals merge to exactly the
 //! uninterrupted values, plus the number of *attempts* the executor needed
 //! (always 1 in-process; retries under process isolation push it higher).
-//!
-//! # Integrity (format v3)
-//!
-//! Every record line is prefixed with the CRC32 (IEEE) of its JSON payload,
-//! as eight lowercase hex digits and a space:
-//!
-//! ```text
-//! 89abcdef {"k":17,"attempts":1,"record":{...},"stats":{...}}
-//! ```
-//!
-//! A record that fails its CRC (or does not parse) at the **end** of the
-//! file is the torn tail of an interrupted write and is truncated away as
-//! before. The same failure **mid-file** — with intact records after it —
-//! can only be silent corruption (bit rot, a bad copy, a buggy tool), and
-//! resuming over it would quietly drop a run, so the journal is rejected
-//! with [`FiError::JournalCorrupt`] naming the first corrupt line.
 
-use crate::chaos::{ChaosInjector, IoFaultKind};
+use crate::chaos::ChaosInjector;
+use crate::env::atomic_write;
 use crate::error::FiError;
+use crate::framed_log::{self, FramedLog, LogError, Scan};
 use crate::results::{RunRecord, RunStats};
 use crate::spec::CampaignSpec;
-use permea_obs::{Counter, Histogram, Obs};
+use permea_obs::Obs;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Seek, SeekFrom, Write};
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -68,23 +54,8 @@ use std::sync::Arc;
 /// never silently resume each other).
 pub const JOURNAL_VERSION: u32 = 4;
 
-/// CRC32 (IEEE 802.3, reflected) of `data` — the checksum prefixed to every
-/// v3 record line. Computed bitwise; journal lines are short enough that a
-/// lookup table would buy nothing.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 /// Default fsync batching: records are `fsync`ed every this many appends
-/// (each append is still flushed to the OS immediately). Campaigns override
+/// (each append is still handed to the OS immediately). Campaigns override
 /// it through [`crate::campaign::CampaignConfig::journal_fsync_interval`].
 pub const DEFAULT_FSYNC_INTERVAL: usize = 64;
 
@@ -119,23 +90,16 @@ impl JournalHeader {
     ///
     /// Returns [`FiError::JournalMismatch`] naming the field.
     pub fn ensure_matches(&self, other: &JournalHeader) -> Result<(), FiError> {
-        if self.version != other.version {
-            return Err(FiError::JournalMismatch { field: "version" });
+        let fields = [
+            ("version", self.version == other.version),
+            ("master_seed", self.master_seed == other.master_seed),
+            ("horizon_ms", self.horizon_ms == other.horizon_ms),
+            ("spec", self.spec == other.spec),
+        ];
+        match fields.into_iter().find(|&(_, same)| !same) {
+            Some((field, _)) => Err(FiError::JournalMismatch { field }),
+            None => Ok(()),
         }
-        if self.master_seed != other.master_seed {
-            return Err(FiError::JournalMismatch {
-                field: "master_seed",
-            });
-        }
-        if self.horizon_ms != other.horizon_ms {
-            return Err(FiError::JournalMismatch {
-                field: "horizon_ms",
-            });
-        }
-        if self.spec != other.spec {
-            return Err(FiError::JournalMismatch { field: "spec" });
-        }
-        Ok(())
     }
 }
 
@@ -157,6 +121,14 @@ pub struct JournalEntry {
     pub stats: RunStats,
 }
 
+impl JournalEntry {
+    /// `true` when both entries carry the same run result (record and
+    /// stats), whatever their attempt counts.
+    fn same_run(&self, other: &JournalEntry) -> bool {
+        self.record == other.record && self.stats == other.stats
+    }
+}
+
 /// What [`RunJournal::open_or_create`] found on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadedJournal {
@@ -168,37 +140,19 @@ pub struct LoadedJournal {
     pub truncated_tail: bool,
 }
 
-fn io_err(context: &str, e: std::io::Error) -> FiError {
-    FiError::Journal {
-        message: format!("{context}: {e}"),
+impl From<LogError> for FiError {
+    fn from(e: LogError) -> Self {
+        match e {
+            LogError::Failed(message) => FiError::Journal { message },
+            LogError::DiskFull { retries } => FiError::JournalDiskFull { retries },
+            LogError::Corrupt { line } => FiError::JournalCorrupt { line },
+        }
     }
 }
 
-/// Parses one v3 record line: eight lowercase hex CRC digits, a space, the
-/// JSON entry. Returns `None` on any framing, checksum or parse failure —
-/// the caller decides whether that means a torn tail or corruption.
-fn parse_entry_line(bytes: &[u8]) -> Option<JournalEntry> {
-    let line = std::str::from_utf8(bytes).ok()?;
-    let (crc_hex, json) = line.split_once(' ')?;
-    if crc_hex.len() != 8 {
-        return None;
-    }
-    let expected = u32::from_str_radix(crc_hex, 16).ok()?;
-    if crc32(json.as_bytes()) != expected {
-        return None;
-    }
-    serde_json::from_str::<JournalEntry>(json).ok()
-}
-
-/// Serialises one journal entry into its on-disk line (without the trailing
-/// newline): eight lowercase hex CRC32 digits, a space, the JSON payload.
-/// Shared by [`RunJournal::append`] and [`merge_journals`] so both write the
-/// exact same bytes for the same entry.
-fn entry_line(entry: &JournalEntry) -> Result<String, FiError> {
-    let json = serde_json::to_string(entry).map_err(|e| FiError::Journal {
-        message: format!("serialising journal entry: {e}"),
-    })?;
-    Ok(format!("{:08x} {json}", crc32(json.as_bytes())))
+/// Reads and scans the journal at `path` without modifying it.
+fn scan_journal(path: &Path) -> Result<Scan<JournalHeader, JournalEntry>, FiError> {
+    Ok(framed_log::read(path, "journal")?)
 }
 
 /// A journal read without opening it for appending: the parsed header, the
@@ -225,53 +179,11 @@ pub struct ReadJournal {
 /// unreadable, and [`FiError::JournalCorrupt`] when a record fails its CRC
 /// mid-file with intact records after it.
 pub fn read_journal(path: impl AsRef<Path>) -> Result<ReadJournal, FiError> {
-    let path = path.as_ref();
-    let data =
-        std::fs::read(path).map_err(|e| io_err(&format!("reading {}", path.display()), e))?;
-    let mut line_ranges: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0usize;
-    for (i, &b) in data.iter().enumerate() {
-        if b == b'\n' {
-            line_ranges.push((start, i));
-            start = i + 1;
-        }
-    }
-    let mut truncated_tail = start < data.len();
-
-    let mut ranges = line_ranges.into_iter();
-    let (hs, he) = ranges.next().ok_or(FiError::Journal {
-        message: format!("{} holds no complete header line", path.display()),
-    })?;
-    let header_line = std::str::from_utf8(&data[hs..he]).map_err(|_| FiError::Journal {
-        message: format!("{}: header is not valid UTF-8", path.display()),
-    })?;
-    let header: JournalHeader =
-        serde_json::from_str(header_line).map_err(|e| FiError::Journal {
-            message: format!("parsing header of {}: {e}", path.display()),
-        })?;
-
-    let mut entries = HashMap::new();
-    let mut corrupt_line: Option<usize> = None;
-    for (idx, (s, e)) in ranges.enumerate() {
-        match parse_entry_line(&data[s..e]) {
-            Some(entry) => {
-                if let Some(line) = corrupt_line {
-                    return Err(FiError::JournalCorrupt { line });
-                }
-                entries.insert(entry.k, entry);
-            }
-            None => {
-                corrupt_line.get_or_insert(idx + 2);
-            }
-        }
-    }
-    if corrupt_line.is_some() {
-        truncated_tail = true;
-    }
+    let scan = scan_journal(path.as_ref())?;
     Ok(ReadJournal {
-        header,
-        entries,
-        truncated_tail,
+        header: scan.header,
+        entries: scan.records.into_iter().map(|e| (e.k, e)).collect(),
+        truncated_tail: scan.torn_tail,
     })
 }
 
@@ -300,20 +212,19 @@ pub struct MergeSummary {
 /// ascending coordinate order, so merging the shards of a dense campaign
 /// reproduces the unsharded single-threaded journal byte for byte. Inputs
 /// are never modified; a torn tail in an input only drops the torn line.
+/// The output is written with [`atomic_write`], so a crash mid-merge can
+/// never leave a torn journal at `out`.
 ///
 /// # Errors
 ///
 /// Returns [`FiError::JournalMismatch`] when input headers disagree,
 /// [`FiError::JournalMergeConflict`] when two inputs carry different
-/// records for one coordinate, and [`FiError::Journal`] on I/O failure.
+/// records for one coordinate, [`FiError::Journal`] when an input cannot
+/// be read and [`FiError::ArtifactWrite`] when the output cannot be
+/// written.
 pub fn merge_journals(out: impl AsRef<Path>, inputs: &[PathBuf]) -> Result<MergeSummary, FiError> {
-    let out = out.as_ref();
-    if inputs.is_empty() {
-        return Err(FiError::JournalMergeEmpty);
-    }
-
     let mut reference: Option<JournalHeader> = None;
-    let mut merged: HashMap<u64, JournalEntry> = HashMap::new();
+    let mut merged: BTreeMap<u64, JournalEntry> = BTreeMap::new();
     let mut duplicates = 0usize;
     let mut torn_tails = 0usize;
     for path in inputs {
@@ -322,70 +233,34 @@ pub fn merge_journals(out: impl AsRef<Path>, inputs: &[PathBuf]) -> Result<Merge
             None => reference = Some(shard.header),
             Some(first) => first.ensure_matches(&shard.header)?,
         }
-        if shard.truncated_tail {
-            torn_tails += 1;
-        }
+        torn_tails += usize::from(shard.truncated_tail);
         for (k, entry) in shard.entries {
-            match merged.entry(k) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(entry);
-                }
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    let existing = slot.get_mut();
-                    if existing.record != entry.record || existing.stats != entry.stats {
-                        return Err(FiError::JournalMergeConflict { k });
-                    }
-                    existing.attempts = existing.attempts.max(entry.attempts);
-                    duplicates += 1;
-                }
+            let Some(existing) = merged.get_mut(&k) else {
+                merged.insert(k, entry);
+                continue;
+            };
+            if !existing.same_run(&entry) {
+                return Err(FiError::JournalMergeConflict { k });
             }
+            existing.attempts = existing.attempts.max(entry.attempts);
+            duplicates += 1;
         }
     }
     let header = reference.ok_or(FiError::JournalMergeEmpty)?;
 
-    // The merged journal is written atomically: everything goes to a
-    // sibling `*.tmp` which replaces `out` only after a successful fsync,
-    // so a crash mid-merge can never leave a torn journal at `out`.
-    let mut tmp = out.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let file = File::create(&tmp)
-        .map_err(|e| io_err(&format!("creating merged journal {}", tmp.display()), e))?;
-    let mut writer = BufWriter::new(file);
-    let header_json = serde_json::to_string(&header).map_err(|e| FiError::Journal {
+    let mut text = serde_json::to_string(&header).map_err(|e| FiError::Journal {
         message: format!("serialising merged journal header: {e}"),
     })?;
-    writer
-        .write_all(header_json.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .map_err(|e| io_err("writing merged journal header", e))?;
-    let mut ks: Vec<u64> = merged.keys().copied().collect();
-    ks.sort_unstable();
-    let records = ks.len();
-    for k in &ks {
-        let line = entry_line(&merged[k])?;
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .map_err(|e| io_err("writing merged journal entry", e))?;
+    text.push('\n');
+    for entry in merged.values() {
+        // The same encoder `RunJournal::append` writes through.
+        text.push_str(&framed_log::encode(entry)?);
+        text.push('\n');
     }
-    writer
-        .flush()
-        .map_err(|e| io_err("flushing merged journal", e))?;
-    writer
-        .get_ref()
-        .sync_data()
-        .map_err(|e| io_err("syncing merged journal", e))?;
-    drop(writer);
-    std::fs::rename(&tmp, out).map_err(|e| {
-        io_err(
-            &format!("renaming merged journal into {}", out.display()),
-            e,
-        )
-    })?;
+    atomic_write(out, text.as_bytes())?;
     Ok(MergeSummary {
         inputs: inputs.len(),
-        records,
+        records: merged.len(),
         duplicates,
         torn_tails,
     })
@@ -446,110 +321,54 @@ impl JournalAudit {
 /// Returns [`FiError::Journal`] when the file or its header is unreadable
 /// and [`FiError::JournalCorrupt`] on a mid-file CRC/parse failure.
 pub fn audit_journal(path: impl AsRef<Path>) -> Result<JournalAudit, FiError> {
-    let path = path.as_ref();
-    let data =
-        std::fs::read(path).map_err(|e| io_err(&format!("reading {}", path.display()), e))?;
-    let mut line_ranges: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0usize;
-    for (i, &b) in data.iter().enumerate() {
-        if b == b'\n' {
-            line_ranges.push((start, i));
-            start = i + 1;
+    let scan = scan_journal(path.as_ref())?;
+    let mut audit = JournalAudit {
+        records: scan.records.len(),
+        distinct: 0,
+        identical_duplicates: 0,
+        attempt_upgrades: 0,
+        conflicts: Vec::new(),
+        truncated_tail: scan.torn_tail,
+    };
+    let mut seen: HashMap<u64, &JournalEntry> = HashMap::new();
+    for entry in &scan.records {
+        let Some(first) = seen.get(&entry.k) else {
+            seen.insert(entry.k, entry);
+            continue;
+        };
+        if !first.same_run(entry) {
+            audit.conflicts.push(entry.k);
+        } else if first.attempts == entry.attempts {
+            audit.identical_duplicates += 1;
+        } else {
+            audit.attempt_upgrades += 1;
         }
     }
-    let mut truncated_tail = start < data.len();
-
-    let mut ranges = line_ranges.into_iter();
-    let (hs, he) = ranges.next().ok_or(FiError::Journal {
-        message: format!("{} holds no complete header line", path.display()),
-    })?;
-    let header_line = std::str::from_utf8(&data[hs..he]).map_err(|_| FiError::Journal {
-        message: "journal header is not valid UTF-8".into(),
-    })?;
-    let _: JournalHeader = serde_json::from_str(header_line).map_err(|e| FiError::Journal {
-        message: format!("parsing journal header: {e}"),
-    })?;
-
-    let mut seen: HashMap<u64, JournalEntry> = HashMap::new();
-    let mut records = 0usize;
-    let mut identical_duplicates = 0usize;
-    let mut attempt_upgrades = 0usize;
-    let mut conflicts: Vec<u64> = Vec::new();
-    let mut corrupt_line: Option<usize> = None;
-    for (idx, (s, e)) in ranges.enumerate() {
-        match parse_entry_line(&data[s..e]) {
-            Some(entry) => {
-                if let Some(line) = corrupt_line {
-                    return Err(FiError::JournalCorrupt { line });
-                }
-                records += 1;
-                match seen.entry(entry.k) {
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(entry);
-                    }
-                    std::collections::hash_map::Entry::Occupied(slot) => {
-                        let first = slot.get();
-                        if first.record != entry.record || first.stats != entry.stats {
-                            conflicts.push(entry.k);
-                        } else if first.attempts == entry.attempts {
-                            identical_duplicates += 1;
-                        } else {
-                            attempt_upgrades += 1;
-                        }
-                    }
-                }
-            }
-            None => {
-                // Line 1 is the header; entry `idx` sits on line idx+2.
-                corrupt_line.get_or_insert(idx + 2);
-            }
-        }
-    }
-    if corrupt_line.is_some() {
-        truncated_tail = true;
-    }
-    conflicts.sort_unstable();
-    conflicts.dedup();
-    Ok(JournalAudit {
-        records,
-        distinct: seen.len(),
-        identical_duplicates,
-        attempt_upgrades,
-        conflicts,
-        truncated_tail,
-    })
+    audit.distinct = seen.len();
+    audit.conflicts.sort_unstable();
+    audit.conflicts.dedup();
+    Ok(audit)
 }
 
 /// An append-only JSONL run journal bound to one campaign.
 #[derive(Debug)]
 pub struct RunJournal {
-    path: PathBuf,
-    writer: BufWriter<File>,
+    log: FramedLog,
     entries: HashMap<u64, (RunRecord, RunStats)>,
     attempts: HashMap<u64, u32>,
-    unsynced: usize,
-    fsync_interval: usize,
-    appends: Counter,
-    fsyncs: Counter,
-    fsync_micros: Histogram,
     chaos: Option<Arc<ChaosInjector>>,
 }
 
-/// How many times an append retries a flush that failed with `ENOSPC`
-/// before aborting with [`FiError::JournalDiskFull`]. Retries are spaced by
-/// a short growing sleep — enough for log rotation or tmp-reaping to free
-/// space, short enough that a genuinely full disk fails within a second.
-pub const ENOSPC_APPEND_RETRIES: u32 = 3;
-
-fn is_enospc(e: &std::io::Error) -> bool {
-    e.raw_os_error() == Some(28) // ENOSPC on every unix we run on
-}
-
-fn enospc_error() -> std::io::Error {
-    std::io::Error::from_raw_os_error(28)
-}
-
 impl RunJournal {
+    fn with_log(log: FramedLog) -> Self {
+        RunJournal {
+            log,
+            entries: HashMap::new(),
+            attempts: HashMap::new(),
+            chaos: None,
+        }
+    }
+
     /// Creates a fresh journal at `path`, writing (and syncing) the header.
     /// Any existing file at `path` is overwritten.
     ///
@@ -557,33 +376,8 @@ impl RunJournal {
     ///
     /// Returns [`FiError::Journal`] on I/O failure.
     pub fn create(path: impl AsRef<Path>, header: &JournalHeader) -> Result<Self, FiError> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::create(&path).map_err(|e| io_err("creating journal", e))?;
-        let mut writer = BufWriter::new(file);
-        let line = serde_json::to_string(header).map_err(|e| FiError::Journal {
-            message: format!("serialising journal header: {e}"),
-        })?;
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .map_err(|e| io_err("writing journal header", e))?;
-        writer
-            .get_ref()
-            .sync_data()
-            .map_err(|e| io_err("syncing journal header", e))?;
-        Ok(RunJournal {
-            path,
-            writer,
-            entries: HashMap::new(),
-            attempts: HashMap::new(),
-            unsynced: 0,
-            fsync_interval: DEFAULT_FSYNC_INTERVAL,
-            appends: Counter::noop(),
-            fsyncs: Counter::noop(),
-            fsync_micros: Histogram::noop(),
-            chaos: None,
-        })
+        let log = FramedLog::create(path.as_ref(), "journal", header, DEFAULT_FSYNC_INTERVAL)?;
+        Ok(Self::with_log(log))
     }
 
     /// Opens an existing journal for resumption — verifying its header
@@ -593,115 +387,35 @@ impl RunJournal {
     /// # Errors
     ///
     /// Returns [`FiError::JournalMismatch`] when the on-disk header belongs
-    /// to a different campaign, and [`FiError::Journal`] on I/O or parse
-    /// failures that corruption cannot explain (e.g. an unreadable header).
+    /// to a different campaign, [`FiError::JournalCorrupt`] on mid-file
+    /// corruption, and [`FiError::Journal`] on I/O or parse failures that
+    /// corruption cannot explain (e.g. an unreadable header).
     pub fn open_or_create(
         path: impl AsRef<Path>,
         header: &JournalHeader,
     ) -> Result<(Self, LoadedJournal), FiError> {
-        let path = path.as_ref().to_path_buf();
-        if !path.exists() {
-            let journal = Self::create(&path, header)?;
-            return Ok((
-                journal,
-                LoadedJournal {
-                    recovered: 0,
-                    truncated_tail: false,
-                },
-            ));
+        let path = path.as_ref();
+        let (log, records, truncated_tail) = if path.exists() {
+            let scan = scan_journal(path)?;
+            // Check the header before truncating: a journal of another
+            // campaign is never modified.
+            header.ensure_matches(&scan.header)?;
+            let log = FramedLog::reopen(path, "journal", scan.valid_end, DEFAULT_FSYNC_INTERVAL)?;
+            (log, scan.records, scan.torn_tail)
+        } else {
+            let log = FramedLog::create(path, "journal", header, DEFAULT_FSYNC_INTERVAL)?;
+            (log, Vec::new(), false)
+        };
+        let mut journal = Self::with_log(log);
+        for entry in records {
+            journal.attempts.insert(entry.k, entry.attempts);
+            journal.entries.insert(entry.k, (entry.record, entry.stats));
         }
-
-        let data = std::fs::read(&path).map_err(|e| io_err("reading journal", e))?;
-        // Collect the byte ranges of complete (newline-terminated) lines; an
-        // unterminated tail is a torn write and is discarded.
-        let mut line_ranges: Vec<(usize, usize)> = Vec::new();
-        let mut start = 0usize;
-        for (i, &b) in data.iter().enumerate() {
-            if b == b'\n' {
-                line_ranges.push((start, i));
-                start = i + 1;
-            }
-        }
-        let mut truncated_tail = start < data.len();
-
-        let mut ranges = line_ranges.into_iter();
-        let (hs, he) = ranges.next().ok_or(FiError::Journal {
-            message: "journal exists but holds no complete header line".into(),
-        })?;
-        let header_line = std::str::from_utf8(&data[hs..he]).map_err(|_| FiError::Journal {
-            message: "journal header is not valid UTF-8".into(),
-        })?;
-        let on_disk: JournalHeader =
-            serde_json::from_str(header_line).map_err(|e| FiError::Journal {
-                message: format!("parsing journal header: {e}"),
-            })?;
-        header.ensure_matches(&on_disk)?;
-
-        let mut entries = HashMap::new();
-        let mut attempts = HashMap::new();
-        let mut valid_end = he + 1;
-        // 1-based physical line number of the first invalid record, if any.
-        // Invalid lines at the very end of the file are a torn tail (the
-        // write was interrupted); an invalid line *followed by a valid one*
-        // is silent corruption and poisons the whole journal.
-        let mut corrupt_line: Option<usize> = None;
-        for (idx, (s, e)) in ranges.enumerate() {
-            match parse_entry_line(&data[s..e]) {
-                Some(entry) => {
-                    if let Some(line) = corrupt_line {
-                        return Err(FiError::JournalCorrupt { line });
-                    }
-                    entries.insert(entry.k, entry);
-                    valid_end = e + 1;
-                }
-                None => {
-                    // Line 1 is the header; entry `idx` sits on line idx+2.
-                    corrupt_line.get_or_insert(idx + 2);
-                }
-            }
-        }
-        if corrupt_line.is_some() {
-            // Only trailing lines were invalid: the torn tail of an
-            // interrupted write. Truncate it away below.
-            truncated_tail = true;
-        }
-        for entry in entries.values() {
-            attempts.insert(entry.k, entry.attempts);
-        }
-        let entries: HashMap<u64, (RunRecord, RunStats)> = entries
-            .into_iter()
-            .map(|(k, entry)| (k, (entry.record, entry.stats)))
-            .collect();
-
-        let mut file = OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .map_err(|e| io_err("reopening journal", e))?;
-        if valid_end < data.len() {
-            file.set_len(valid_end as u64)
-                .map_err(|e| io_err("truncating torn journal tail", e))?;
-        }
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| io_err("seeking journal end", e))?;
-        let recovered = entries.len();
-        Ok((
-            RunJournal {
-                path,
-                writer: BufWriter::new(file),
-                entries,
-                attempts,
-                unsynced: 0,
-                fsync_interval: DEFAULT_FSYNC_INTERVAL,
-                appends: Counter::noop(),
-                fsyncs: Counter::noop(),
-                fsync_micros: Histogram::noop(),
-                chaos: None,
-            },
-            LoadedJournal {
-                recovered,
-                truncated_tail,
-            },
-        ))
+        let loaded = LoadedJournal {
+            recovered: journal.len(),
+            truncated_tail,
+        };
+        Ok((journal, loaded))
     }
 
     /// Sets the fsync batching interval: the journal `fsync`s after every
@@ -709,12 +423,12 @@ impl RunJournal {
     /// [`crate::campaign::CampaignConfig::journal_fsync_interval`] (already
     /// validated > 0); values are clamped to at least 1 here as a backstop.
     pub fn set_fsync_interval(&mut self, interval: usize) {
-        self.fsync_interval = interval.max(1);
+        self.log.set_fsync_interval(interval);
     }
 
     /// The active fsync batching interval.
     pub fn fsync_interval(&self) -> usize {
-        self.fsync_interval
+        self.log.fsync_interval()
     }
 
     /// Attaches telemetry: an append counter, an fsync counter and an
@@ -722,9 +436,11 @@ impl RunJournal {
     /// `process.journal_fsyncs`, `process.journal_fsync_micros`). No-op
     /// when `obs` is disabled.
     pub fn attach_obs(&mut self, obs: &Obs) {
-        self.appends = obs.counter("process.journal_appends");
-        self.fsyncs = obs.counter("process.journal_fsyncs");
-        self.fsync_micros = obs.histogram("process.journal_fsync_micros");
+        self.log.set_telemetry(
+            obs.counter("process.journal_appends"),
+            obs.counter("process.journal_fsyncs"),
+            obs.histogram("process.journal_fsync_micros"),
+        );
     }
 
     /// Attaches a chaos injector: scheduled `journal-write` / `journal-fsync`
@@ -737,12 +453,13 @@ impl RunJournal {
 
     /// Appends one finished run with its execution statistics and the number
     /// of attempts it took (1 unless process isolation retried it). The line
-    /// is CRC32-prefixed, flushed to the OS immediately and `fsync`ed every
+    /// is CRC32-prefixed, handed to the OS immediately and `fsync`ed every
     /// [`RunJournal::fsync_interval`] appends.
     ///
     /// # Errors
     ///
-    /// Returns [`FiError::Journal`] on I/O failure.
+    /// Returns [`FiError::JournalDiskFull`] when `ENOSPC` outlasts the
+    /// bounded retries and [`FiError::Journal`] on any other I/O failure.
     pub fn append(
         &mut self,
         k: u64,
@@ -756,125 +473,25 @@ impl RunJournal {
             record: record.clone(),
             stats: *stats,
         };
-        let line = entry_line(&entry)?;
         let fault = self.chaos.as_ref().and_then(|c| c.on_journal_append());
-        let mut retries: u32 = 0;
-        match fault {
-            Some(IoFaultKind::Eio) => {
-                return Err(io_err(
-                    "appending journal entry",
-                    std::io::Error::from_raw_os_error(5), // EIO
-                ));
-            }
-            Some(IoFaultKind::Short) => {
-                // A torn partial write: a prefix of the line reaches the
-                // file with no newline, then the device fails — exactly the
-                // tail shape `open_or_create` truncates away on resume.
-                let cut = line.len() / 2;
-                let _ = self
-                    .writer
-                    .write_all(&line.as_bytes()[..cut])
-                    .and_then(|()| self.writer.flush());
-                return Err(io_err("appending journal entry", enospc_error()));
-            }
-            Some(IoFaultKind::Enospc | IoFaultKind::EnospcOnce) => loop {
-                let still_failing = fault == Some(IoFaultKind::Enospc) || retries == 0;
-                if !still_failing {
-                    break;
-                }
-                if retries >= ENOSPC_APPEND_RETRIES {
-                    return Err(FiError::JournalDiskFull { retries });
-                }
-                retries += 1;
-                std::thread::sleep(std::time::Duration::from_millis(5 * u64::from(retries)));
-            },
-            None => {}
-        }
-        // Stage the full line in the writer's buffer (memory only, unless
-        // the buffer spills), then make the flush durable under a bounded
-        // ENOSPC retry: transient pressure (log rotation, tmp reaping)
-        // often clears within milliseconds, while a genuinely full disk
-        // aborts with the typed, resumable `JournalDiskFull`.
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .map_err(|e| {
-                if is_enospc(&e) {
-                    FiError::JournalDiskFull { retries }
-                } else {
-                    io_err("appending journal entry", e)
-                }
-            })?;
-        loop {
-            match self.writer.flush() {
-                Ok(()) => break,
-                Err(e) if is_enospc(&e) && retries < ENOSPC_APPEND_RETRIES => {
-                    retries += 1;
-                    std::thread::sleep(std::time::Duration::from_millis(5 * u64::from(retries)));
-                }
-                Err(e) if is_enospc(&e) => return Err(FiError::JournalDiskFull { retries }),
-                Err(e) => return Err(io_err("appending journal entry", e)),
-            }
-        }
-        self.appends.inc();
+        self.log.append(&entry, fault)?;
         self.entries.insert(k, (entry.record, entry.stats));
         self.attempts.insert(k, attempts);
-        self.unsynced += 1;
-        if self.unsynced >= self.fsync_interval {
+        if self.log.sync_due() {
             self.sync()?;
         }
         Ok(())
     }
 
-    /// Flushes buffered data and `fsync`s the file.
+    /// `fsync`s the file.
     ///
     /// # Errors
     ///
-    /// Returns [`FiError::Journal`] on I/O failure.
+    /// Returns [`FiError::JournalDiskFull`] when `ENOSPC` outlasts the
+    /// bounded retries and [`FiError::Journal`] on any other I/O failure.
     pub fn sync(&mut self) -> Result<(), FiError> {
-        let started = std::time::Instant::now();
         let fault = self.chaos.as_ref().and_then(|c| c.on_journal_fsync());
-        let mut retries: u32 = 0;
-        match fault {
-            // fsync has no "short" shape; both map to a hard I/O error.
-            Some(IoFaultKind::Eio | IoFaultKind::Short) => {
-                return Err(io_err(
-                    "syncing journal",
-                    std::io::Error::from_raw_os_error(5), // EIO
-                ));
-            }
-            Some(IoFaultKind::Enospc | IoFaultKind::EnospcOnce) => loop {
-                let still_failing = fault == Some(IoFaultKind::Enospc) || retries == 0;
-                if !still_failing {
-                    break;
-                }
-                if retries >= ENOSPC_APPEND_RETRIES {
-                    return Err(FiError::JournalDiskFull { retries });
-                }
-                retries += 1;
-                std::thread::sleep(std::time::Duration::from_millis(5 * u64::from(retries)));
-            },
-            None => {}
-        }
-        self.writer
-            .flush()
-            .map_err(|e| io_err("flushing journal", e))?;
-        loop {
-            match self.writer.get_ref().sync_data() {
-                Ok(()) => break,
-                Err(e) if is_enospc(&e) && retries < ENOSPC_APPEND_RETRIES => {
-                    retries += 1;
-                    std::thread::sleep(std::time::Duration::from_millis(5 * u64::from(retries)));
-                }
-                Err(e) if is_enospc(&e) => return Err(FiError::JournalDiskFull { retries }),
-                Err(e) => return Err(io_err("syncing journal", e)),
-            }
-        }
-        self.fsyncs.inc();
-        self.fsync_micros
-            .observe(started.elapsed().as_micros() as u64);
-        self.unsynced = 0;
-        Ok(())
+        Ok(self.log.sync(fault)?)
     }
 
     /// Records and statistics recovered from disk plus those appended this
@@ -901,16 +518,18 @@ impl RunJournal {
 
     /// The journal's on-disk path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framed_log::{crc32, encode as entry_line, ENOSPC_RETRIES as ENOSPC_APPEND_RETRIES};
     use crate::model::ErrorModel;
     use crate::outcome::RunOutcome;
     use crate::spec::PortTarget;
+    use std::fs::OpenOptions;
 
     fn header() -> JournalHeader {
         let spec = CampaignSpec::paper_style(vec![PortTarget::new("CALC", "pulscnt")], 2);
@@ -1592,5 +1211,28 @@ mod tests {
         assert!(loaded.truncated_tail);
         assert!(j.entries().contains_key(&0));
         assert!(!j.entries().contains_key(&1));
+    }
+
+    #[test]
+    fn failed_append_does_not_poison_the_next_acknowledged_ones() {
+        // A short write leaves a torn prefix; the appends after it must
+        // not be glued onto the tear (mid-file corruption on reopen) nor
+        // be truncated away with it.
+        let path = tmp("chaos-short-then-two");
+        let _ = std::fs::remove_file(&path);
+        let mut j = RunJournal::create(&path, &header()).unwrap();
+        j.set_chaos(chaos("journal-write=short@0"));
+        assert!(j.append(0, &record(500), &stats(40), 1).is_err());
+        j.append(1, &record(1_000), &stats(41), 1).unwrap();
+        j.append(2, &record(1_500), &stats(42), 1).unwrap();
+        j.sync().unwrap();
+        drop(j);
+
+        let (j, loaded) = RunJournal::open_or_create(&path, &header()).unwrap();
+        assert_eq!(loaded.recovered, 2);
+        assert!(!loaded.truncated_tail);
+        assert!(!j.entries().contains_key(&0));
+        assert_eq!(j.entries()[&2], (record(1_500), stats(42)));
+        assert!(audit_journal(&path).unwrap().is_clean());
     }
 }

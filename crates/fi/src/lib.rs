@@ -44,6 +44,7 @@ pub mod chaos;
 pub mod env;
 pub mod error;
 pub mod estimate;
+pub mod framed_log;
 pub mod golden;
 pub mod journal;
 pub mod latency;

@@ -27,10 +27,10 @@
 //! than assuming frame alignment, so chatter from the hosting binary (a
 //! test harness banner, a stray `println!`) interleaved on the pipe is
 //! skipped instead of poisoning the stream. The supervisor sends
-//! [`ToWorker`] frames (one `Setup`, then `RunBatch` per dispatch — up to
+//! `ToWorker` frames (one `Setup`, then `RunBatch` per dispatch — up to
 //! [`ProcessIsolation::dispatch_batch`] coordinates per frame, amortising
 //! the per-message syscall/serialisation cost); the worker answers with
-//! [`FromWorker`] frames (`Ready`, then one `DoneBatch` per dispatch).
+//! `FromWorker` frames (`Ready`, then one `DoneBatch` per dispatch).
 //! Anything else the supervisor observes — a truncated frame, an answer for
 //! the wrong coordinates — is an infrastructure failure
 //! ([`crate::error::FiError::WorkerProcess`]), never a quarantined run.
@@ -603,8 +603,8 @@ fn write_frame_stdout(msg: &FromWorker) -> std::io::Result<()> {
     out.flush()
 }
 
-/// The worker-process main loop: reads [`ToWorker`] frames from stdin,
-/// executes runs with the in-process sandbox, and writes [`FromWorker`]
+/// The worker-process main loop: reads `ToWorker` frames from stdin,
+/// executes runs with the in-process sandbox, and writes `FromWorker`
 /// frames to stdout. Returns the process exit code (0 on a clean shutdown
 /// or EOF, 1 after reporting a failure).
 ///

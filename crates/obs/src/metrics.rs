@@ -455,7 +455,9 @@ impl MetricsSnapshot {
             rate,
             wall_ms as f64 / 1e3,
         );
-        for (name, h) in &self.histograms {
+        // A histogram nothing was observed into says nothing; metrics.json
+        // still carries it.
+        for (name, h) in self.histograms.iter().filter(|(_, h)| h.count > 0) {
             let _ = writeln!(
                 out,
                 "hist      : {name}: n={} mean={:.0} p50≈{} p99≈{} max={}",
@@ -694,10 +696,19 @@ mod tests {
         r.counter("campaign.ff_forked").add(64);
         r.counter("process.runs_executed").add(64);
         r.gauge("process.campaign_wall_ms").set(2_000);
-        let text = r.snapshot().render_summary();
+        r.histogram("process.run_micros").observe(250);
+        let _ = r.histogram("process.attempt_micros");
+        let snap = r.snapshot();
+        let text = snap.render_summary();
         assert!(text.contains("64 total"));
         assert!(text.contains("100.0%"));
         assert!(text.contains("32.0 runs/s"));
+        assert!(text.contains("process.run_micros: n=1"));
+        assert!(
+            !text.contains("attempt_micros"),
+            "empty histogram printed: {text}"
+        );
+        assert!(snap.histograms.contains_key("process.attempt_micros"));
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! re-queued, and their per-campaign run journals make the resumed
 //! execution byte-identical to the uninterrupted one.
 //!
-//! The file format deliberately mirrors [`permea_fi::journal`]: line 1 is
-//! a header (format version), every following line is the CRC32 (IEEE) of
-//! its JSON payload as eight lowercase hex digits, a space, and the
-//! payload:
+//! The file is a [`permea_fi::framed_log`] — the same format as the run
+//! journal — with a `{"version":1}` header and one CRC32-framed
+//! [`LedgerRecord`] per line:
 //!
 //! ```text
 //! {"version":1}
@@ -19,34 +18,28 @@
 //! 01234567 {"Closed":{"id":1,"state":"Completed","detail":""}}
 //! ```
 //!
-//! A line that fails its CRC (or does not parse) at the **end** of the
-//! file is the torn tail of an interrupted write and is truncated away on
-//! open; the same failure **mid-file** can only be silent corruption and
-//! poisons the ledger with a typed error rather than quietly dropping a
-//! tenant's campaign.
-//!
-//! Durability is stricter than the run journal's: the ledger sees a few
-//! records per campaign (not tens of thousands), so every append is
-//! `fsync`ed before it returns. An `ENOSPC` append is retried a bounded
-//! number of times (transient pressure clears; a full disk becomes the
-//! typed [`ServerError::LedgerDiskFull`]).
+//! A torn tail is truncated away on open; mid-file corruption poisons the
+//! ledger with a typed error rather than quietly dropping a tenant's
+//! campaign. Durability is stricter than the run journal's: the ledger
+//! sees a few records per campaign (not tens of thousands), so every
+//! append is `fsync`ed before it returns. `ENOSPC` that outlasts the
+//! bounded retries is the typed [`ServerError::LedgerDiskFull`].
 
 use crate::error::ServerError;
 use crate::protocol::CampaignState;
-use permea_fi::chaos::{ChaosInjector, IoFaultKind};
-use permea_fi::journal::crc32;
+use permea_fi::chaos::ChaosInjector;
+use permea_fi::framed_log::{self, FramedLog, LogError, Scan};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Ledger format version; bumped on any incompatible layout change.
 pub const LEDGER_VERSION: u32 = 1;
 
-/// Bounded retries for an `ENOSPC` append before giving up.
-const ENOSPC_APPEND_RETRIES: u32 = 3;
+/// Every append is `fsync`ed: a submission is durable before it is
+/// acknowledged.
+const FSYNC_INTERVAL: usize = 1;
 
 /// First line of the ledger.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -95,43 +88,20 @@ pub struct ReplayedCampaign {
 /// The append-only submission ledger.
 #[derive(Debug)]
 pub struct Ledger {
-    path: PathBuf,
-    writer: BufWriter<File>,
+    log: FramedLog,
     chaos: Option<Arc<ChaosInjector>>,
 }
 
-fn io_err(context: &str, e: std::io::Error) -> ServerError {
-    ServerError::Ledger {
-        message: format!("{context}: {e}"),
+impl From<LogError> for ServerError {
+    fn from(e: LogError) -> Self {
+        match e {
+            LogError::Failed(message) => ServerError::Ledger { message },
+            LogError::DiskFull { retries } => ServerError::LedgerDiskFull { retries },
+            LogError::Corrupt { line } => ServerError::Ledger {
+                message: format!("ledger line {line} is corrupt but later records are intact"),
+            },
+        }
     }
-}
-
-fn is_enospc(e: &std::io::Error) -> bool {
-    e.raw_os_error() == Some(28) // ENOSPC
-}
-
-fn enospc_error() -> std::io::Error {
-    std::io::Error::from_raw_os_error(28)
-}
-
-fn record_line(record: &LedgerRecord) -> Result<String, ServerError> {
-    let json = serde_json::to_string(record).map_err(|e| ServerError::Ledger {
-        message: format!("serialising ledger record: {e}"),
-    })?;
-    Ok(format!("{:08x} {json}", crc32(json.as_bytes())))
-}
-
-fn parse_record_line(line: &[u8]) -> Option<LedgerRecord> {
-    let line = std::str::from_utf8(line).ok()?;
-    let (crc_hex, json) = line.split_once(' ')?;
-    if crc_hex.len() != 8 {
-        return None;
-    }
-    let expected = u32::from_str_radix(crc_hex, 16).ok()?;
-    if crc32(json.as_bytes()) != expected {
-        return None;
-    }
-    serde_json::from_str(json).ok()
 }
 
 impl Ledger {
@@ -148,128 +118,53 @@ impl Ledger {
     /// [`ServerError::Ledger`] on I/O failure, header mismatch, or a
     /// corrupt record followed by valid ones (silent mid-file corruption).
     pub fn open(path: &Path) -> Result<(Ledger, Vec<ReplayedCampaign>, u64), ServerError> {
-        if !path.exists() {
-            let mut file = File::create(path).map_err(|e| io_err("creating ledger", e))?;
-            let header = serde_json::to_string(&LedgerHeader {
-                version: LEDGER_VERSION,
-            })
-            .map_err(|e| ServerError::Ledger {
-                message: format!("serialising ledger header: {e}"),
-            })?;
-            file.write_all(header.as_bytes())
-                .and_then(|()| file.write_all(b"\n"))
-                .and_then(|()| file.sync_data())
-                .map_err(|e| io_err("writing ledger header", e))?;
-            return Ok((
-                Ledger {
-                    path: path.to_path_buf(),
-                    writer: BufWriter::new(file),
-                    chaos: None,
-                },
-                Vec::new(),
-                1,
-            ));
-        }
-
-        let data = std::fs::read(path).map_err(|e| io_err("reading ledger", e))?;
-        let mut line_ranges = Vec::new();
-        let mut start = 0usize;
-        for (i, &b) in data.iter().enumerate() {
-            if b == b'\n' {
-                line_ranges.push((start, i));
-                start = i + 1;
+        let (log, records) = if path.exists() {
+            let scan: Scan<LedgerHeader, LedgerRecord> = framed_log::read(path, "ledger")?;
+            if scan.header.version != LEDGER_VERSION {
+                return Err(ServerError::Ledger {
+                    message: format!(
+                        "ledger format version {} but this daemon speaks {LEDGER_VERSION}",
+                        scan.header.version
+                    ),
+                });
             }
-        }
-
-        let mut ranges = line_ranges.into_iter();
-        let (hs, he) = ranges.next().ok_or(ServerError::Ledger {
-            message: "ledger exists but holds no complete header line".into(),
-        })?;
-        let header_line = std::str::from_utf8(&data[hs..he]).map_err(|_| ServerError::Ledger {
-            message: "ledger header is not valid UTF-8".into(),
-        })?;
-        let header: LedgerHeader =
-            serde_json::from_str(header_line).map_err(|e| ServerError::Ledger {
-                message: format!("parsing ledger header: {e}"),
-            })?;
-        if header.version != LEDGER_VERSION {
-            return Err(ServerError::Ledger {
-                message: format!(
-                    "ledger format version {} but this daemon speaks {LEDGER_VERSION}",
-                    header.version
-                ),
-            });
-        }
-
+            let log = FramedLog::reopen(path, "ledger", scan.valid_end, FSYNC_INTERVAL)?;
+            (log, scan.records)
+        } else {
+            let header = LedgerHeader {
+                version: LEDGER_VERSION,
+            };
+            let log = FramedLog::create(path, "ledger", &header, FSYNC_INTERVAL)?;
+            (log, Vec::new())
+        };
         let mut campaigns: BTreeMap<u64, ReplayedCampaign> = BTreeMap::new();
-        let mut valid_end = he + 1;
-        // 1-based physical line of the first invalid record, if any; an
-        // invalid line followed by a valid one is silent corruption, not a
-        // torn tail.
-        let mut corrupt_line: Option<usize> = None;
-        for (idx, (s, e)) in ranges.enumerate() {
-            match parse_record_line(&data[s..e]) {
-                Some(record) => {
-                    if let Some(line) = corrupt_line {
-                        return Err(ServerError::Ledger {
-                            message: format!(
-                                "ledger line {line} is corrupt but later records are intact"
-                            ),
-                        });
-                    }
-                    match record {
-                        LedgerRecord::Submitted {
+        for record in records {
+            match record {
+                LedgerRecord::Submitted {
+                    id,
+                    tenant,
+                    payload,
+                } => {
+                    campaigns.insert(
+                        id,
+                        ReplayedCampaign {
                             id,
                             tenant,
                             payload,
-                        } => {
-                            campaigns.insert(
-                                id,
-                                ReplayedCampaign {
-                                    id,
-                                    tenant,
-                                    payload,
-                                    closed: None,
-                                },
-                            );
-                        }
-                        LedgerRecord::Closed { id, state, detail } => {
-                            if let Some(c) = campaigns.get_mut(&id) {
-                                c.closed = Some((state, detail));
-                            }
-                        }
-                    }
-                    valid_end = e + 1;
+                            closed: None,
+                        },
+                    );
                 }
-                None => {
-                    // Line 1 is the header; record `idx` sits on line idx+2.
-                    corrupt_line.get_or_insert(idx + 2);
+                LedgerRecord::Closed { id, state, detail } => {
+                    if let Some(c) = campaigns.get_mut(&id) {
+                        c.closed = Some((state, detail));
+                    }
                 }
             }
         }
-
-        let mut file = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| io_err("reopening ledger", e))?;
-        if valid_end < data.len() {
-            file.set_len(valid_end as u64)
-                .map_err(|e| io_err("truncating torn ledger tail", e))?;
-        }
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| io_err("seeking ledger end", e))?;
-
         let next_id = campaigns.keys().next_back().map_or(1, |max| max + 1);
         let replayed = campaigns.into_values().collect();
-        Ok((
-            Ledger {
-                path: path.to_path_buf(),
-                writer: BufWriter::new(file),
-                chaos: None,
-            },
-            replayed,
-            next_id,
-        ))
+        Ok((Ledger { log, chaos: None }, replayed, next_id))
     }
 
     /// Attaches a chaos injector: scheduled `ledger-write` faults from its
@@ -281,86 +176,45 @@ impl Ledger {
 
     /// The file this ledger persists to.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
-    /// Appends one record, CRC32-prefixed, flushed and `fsync`ed before
-    /// returning — the record is durable when this succeeds.
+    /// Appends one record, CRC32-prefixed and `fsync`ed before returning —
+    /// the record is durable when this succeeds.
     ///
     /// # Errors
     ///
     /// [`ServerError::LedgerDiskFull`] when `ENOSPC` persists past the
     /// bounded retries; [`ServerError::Ledger`] on any other I/O failure.
     pub fn append(&mut self, record: &LedgerRecord) -> Result<(), ServerError> {
-        let line = record_line(record)?;
         let fault = self.chaos.as_ref().and_then(|c| c.on_ledger_append());
-        let mut retries: u32 = 0;
-        match fault {
-            Some(IoFaultKind::Eio) => {
-                return Err(io_err(
-                    "appending ledger record",
-                    std::io::Error::from_raw_os_error(5), // EIO
-                ));
-            }
-            Some(IoFaultKind::Short) => {
-                // A torn partial write: a prefix of the line reaches the
-                // file with no newline, then the device fails — exactly
-                // the tail shape `open` truncates away on restart.
-                let cut = line.len() / 2;
-                let _ = self
-                    .writer
-                    .write_all(&line.as_bytes()[..cut])
-                    .and_then(|()| self.writer.flush());
-                return Err(io_err("appending ledger record", enospc_error()));
-            }
-            Some(IoFaultKind::Enospc | IoFaultKind::EnospcOnce) => loop {
-                let still_failing = fault == Some(IoFaultKind::Enospc) || retries == 0;
-                if !still_failing {
-                    break;
-                }
-                if retries >= ENOSPC_APPEND_RETRIES {
-                    return Err(ServerError::LedgerDiskFull { retries });
-                }
-                retries += 1;
-                std::thread::sleep(std::time::Duration::from_millis(5 * u64::from(retries)));
-            },
-            None => {}
+        self.log.append(record, fault)?;
+        if self.log.sync_due() {
+            self.log.sync(None)?;
         }
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| {
-                if is_enospc(&e) {
-                    ServerError::LedgerDiskFull { retries }
-                } else {
-                    io_err("appending ledger record", e)
-                }
-            })?;
-        self.writer
-            .get_ref()
-            .sync_data()
-            .map_err(|e| io_err("fsyncing ledger", e))
+        Ok(())
     }
 
-    /// Flushes and `fsync`s any buffered state. Appends already sync, so
-    /// this is a cheap belt-and-braces call on the drain path.
+    /// `fsync`s the file. Appends already sync, so this is a cheap
+    /// belt-and-braces call on the drain path.
     ///
     /// # Errors
     ///
-    /// [`ServerError::Ledger`] on I/O failure.
+    /// [`ServerError::LedgerDiskFull`] when `ENOSPC` persists past the
+    /// bounded retries; [`ServerError::Ledger`] on any other I/O failure.
     pub fn sync(&mut self) -> Result<(), ServerError> {
-        self.writer
-            .flush()
-            .and_then(|()| self.writer.get_ref().sync_data())
-            .map_err(|e| io_err("syncing ledger", e))
+        Ok(self.log.sync(None)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
+    use permea_fi::framed_log::encode as record_line;
+    use permea_fi::framed_log::ENOSPC_RETRIES as ENOSPC_APPEND_RETRIES;
+    use std::fs::{File, OpenOptions};
+    use std::io::{Read, Write};
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("permea-ledger-{}-{name}", std::process::id()));
@@ -521,5 +375,27 @@ mod tests {
         let (_l, replayed, next_id) = Ledger::open(&path).unwrap();
         assert!(replayed.is_empty());
         assert_eq!(next_id, 1);
+    }
+
+    #[test]
+    fn failed_append_does_not_poison_the_next_acknowledged_ones() {
+        use permea_fi::chaos::ChaosPlan;
+
+        // A short write leaves a torn prefix. The two admissions after it
+        // are acknowledged, so a restart must replay both: neither glued
+        // onto the tear (mid-file corruption) nor truncated away with it.
+        let path = tmp("short-then-two");
+        let (mut ledger, _, _) = Ledger::open(&path).unwrap();
+        let plan = ChaosPlan::parse("ledger-write=short@0").unwrap();
+        ledger.set_chaos(Arc::new(ChaosInjector::new(plan)));
+        assert!(ledger.append(&submitted(1, "alice")).is_err());
+        ledger.append(&submitted(2, "bob")).unwrap();
+        ledger.append(&submitted(3, "carol")).unwrap();
+        drop(ledger);
+
+        let (_l, replayed, next_id) = Ledger::open(&path).unwrap();
+        let ids: Vec<u64> = replayed.iter().map(|c| c.id).collect();
+        assert_eq!(ids, vec![2, 3]);
+        assert_eq!(next_id, 4);
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! A [`Workload`] is a flat, ordered map of scalar parameters (`masses = 3`,
 //! `cases = 4`, ...). Each [`Target`](crate::target::Target) publishes its
-//! accepted keys through [`Target::default_workload`]; the scenario layer
-//! overlays the `[workload]` section on those defaults and rejects unknown
-//! keys, so a typo fails loudly instead of silently running the default.
+//! accepted keys through
+//! [`Target::default_workload`](crate::target::Target::default_workload);
+//! the scenario layer overlays the `[workload]` section on those defaults
+//! and rejects unknown keys, so a typo fails loudly instead of silently
+//! running the default.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;

@@ -1,9 +1,9 @@
 //! Integration tests of the fault-injection pipeline against the real
 //! arrestment target.
 
-use permea::analysis::factory::ArrestmentFactory;
 use permea::arrestment::testcase::TestCase;
 use permea::fi::prelude::*;
+use permea::target::arrestment::ArrestmentFactory;
 
 fn small_spec() -> CampaignSpec {
     CampaignSpec {

@@ -216,8 +216,20 @@ proptest! {
         kept.extend_from_slice(&torn);
         std::fs::write(&path, kept).unwrap();
 
+        // The read-only readers see exactly what resume recovers.
+        let read = read_journal(&path).unwrap();
+        let audit = audit_journal(&path).unwrap();
         let (mut j, loaded) = RunJournal::open_or_create(&path, &header).unwrap();
         prop_assert_eq!(loaded.recovered, keep);
+        let mut recovered: Vec<u64> = j.entries().keys().copied().collect();
+        let mut read_ks: Vec<u64> = read.entries.keys().copied().collect();
+        recovered.sort_unstable();
+        read_ks.sort_unstable();
+        prop_assert_eq!(&read_ks, &recovered);
+        prop_assert_eq!(audit.records, keep);
+        prop_assert_eq!(audit.distinct, recovered.len());
+        prop_assert_eq!(read.truncated_tail, loaded.truncated_tail);
+        prop_assert_eq!(audit.truncated_tail, loaded.truncated_tail);
         let resumed = c.run_resumable(&spec, Some(&mut j), None).unwrap();
         drop(j);
         let _ = std::fs::remove_file(&path);
@@ -278,6 +290,10 @@ proptest! {
         data[target] ^= flip;
         std::fs::write(&path, &data).unwrap();
 
+        // All three readers name the same corrupt line.
+        let corrupt = FiError::JournalCorrupt { line: entry + 2 };
+        prop_assert_eq!(read_journal(&path).err(), Some(corrupt.clone()));
+        prop_assert_eq!(audit_journal(&path).err(), Some(corrupt));
         let reopened = RunJournal::open_or_create(&path, &header);
         let _ = std::fs::remove_file(&path);
         match reopened {
