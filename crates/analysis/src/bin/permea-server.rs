@@ -28,135 +28,74 @@
 //!
 //! Exit codes: 0 clean drain, 1 failure, 2 usage, 4 environment failure.
 
+use permea_analysis::cli::{self, FlagValues};
 use permea_analysis::exit;
 use permea_analysis::service;
-use permea_fi::chaos::{ChaosInjector, ChaosPlan};
-use permea_obs::{JsonlSink, Obs, Sink, StderrSink};
+use permea_fi::chaos::ChaosPlan;
 use permea_server::{ServerConfig, ServerError};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: permea-server --state DIR [--socket PATH] [--slots N] [--slice-runs N] \
-         [--max-queue N] [--tenant-queue N] [--tenant-running N] [--slot-failures N] \
-         [--events PATH] [--chaos-plan SPEC]\n\
-         exit codes: 0 clean drain, 1 failure, 2 usage, 4 environment failure"
-    );
-    std::process::exit(i32::from(exit::EXIT_USAGE));
+const USAGE: &str =
+    "usage: permea-server --state DIR [--socket PATH] [--slots N] [--slice-runs N] \
+     [--max-queue N] [--tenant-queue N] [--tenant-running N] [--slot-failures N] \
+     [--events PATH] [--chaos-plan SPEC]\n\
+     exit codes: 0 clean drain, 1 failure, 2 usage, 4 environment failure";
+
+/// The parsed command line: the daemon configuration (without its chaos
+/// injector, which needs the telemetry handle) and the run-wiring flags.
+fn parse(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(ServerConfig, Option<PathBuf>, Option<ChaosPlan>), String> {
+    let mut config = ServerConfig::new("");
+    let mut state_dir: Option<PathBuf> = None;
+    let mut socket: Option<PathBuf> = None;
+    let mut events: Option<PathBuf> = None;
+    let mut chaos_plan: Option<ChaosPlan> = None;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--state" => state_dir = Some(args.value(&arg)?),
+            "--socket" => socket = Some(args.value(&arg)?),
+            "--events" => events = Some(args.value(&arg)?),
+            "--slots" => config.slots = args.value(&arg)?,
+            "--slice-runs" => {
+                // 0 disables slicing: campaigns run to completion per dispatch.
+                let n: u64 = args.value(&arg)?;
+                config.slice_runs = (n > 0).then_some(n);
+            }
+            "--max-queue" => config.quota.max_queue_depth = args.value(&arg)?,
+            "--tenant-queue" => config.quota.tenant_max_queued = args.value(&arg)?,
+            "--tenant-running" => config.quota.tenant_max_running = args.value(&arg)?,
+            "--slot-failures" => config.slot_failure_budget = args.value(&arg)?,
+            "--chaos-plan" => chaos_plan = Some(args.value_with(&arg, ChaosPlan::parse)?),
+            _ => return Err(format!("unknown argument `{arg}`")),
+        }
+    }
+    let state_dir: PathBuf = state_dir.ok_or("--state DIR is required")?;
+    config.socket = socket.unwrap_or_else(|| ServerConfig::new(&state_dir).socket);
+    config.state_dir = state_dir;
+    Ok((config, events, chaos_plan))
 }
 
 fn main() -> ExitCode {
-    let mut state_dir: Option<PathBuf> = None;
-    let mut socket: Option<PathBuf> = None;
-    let mut slots: Option<usize> = None;
-    let mut slice_runs: Option<u64> = None;
-    let mut max_queue: Option<usize> = None;
-    let mut tenant_queue: Option<usize> = None;
-    let mut tenant_running: Option<usize> = None;
-    let mut slot_failures: Option<u32> = None;
-    let mut events_out: Option<PathBuf> = None;
-    let mut chaos_plan: Option<ChaosPlan> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--state" => match args.next() {
-                Some(d) => state_dir = Some(PathBuf::from(d)),
-                None => usage(),
-            },
-            "--socket" => match args.next() {
-                Some(p) => socket = Some(PathBuf::from(p)),
-                None => usage(),
-            },
-            "--events" => match args.next() {
-                Some(p) => events_out = Some(PathBuf::from(p)),
-                None => usage(),
-            },
-            "--slots" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => slots = Some(n),
-                None => usage(),
-            },
-            "--slice-runs" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => slice_runs = Some(n),
-                None => usage(),
-            },
-            "--max-queue" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => max_queue = Some(n),
-                None => usage(),
-            },
-            "--tenant-queue" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => tenant_queue = Some(n),
-                None => usage(),
-            },
-            "--tenant-running" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => tenant_running = Some(n),
-                None => usage(),
-            },
-            "--slot-failures" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => slot_failures = Some(n),
-                None => usage(),
-            },
-            "--chaos-plan" => match args.next().map(|v| ChaosPlan::parse(&v)) {
-                Some(Ok(p)) => chaos_plan = Some(p),
-                Some(Err(e)) => {
-                    eprintln!("invalid --chaos-plan: {e}");
-                    usage();
-                }
-                None => usage(),
-            },
-            _ => usage(),
+    let (mut config, events, chaos_plan) = match parse(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("permea-server: {e}\n{USAGE}");
+            return ExitCode::from(exit::EXIT_USAGE);
         }
-    }
-    let Some(state_dir) = state_dir else { usage() };
-
-    let mut sinks: Vec<Arc<dyn Sink>> = vec![Arc::new(StderrSink)];
-    if let Some(path) = &events_out {
-        // The daemon may be killed and restarted over the same event log:
-        // append a fresh schema-stamped session rather than truncating the
-        // previous daemon's history.
-        match JsonlSink::append_session(path) {
-            Ok(s) => sinks.push(Arc::new(s)),
-            Err(e) => {
-                eprintln!("cannot open event log {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+    };
+    // The daemon may be killed and restarted over the same event log:
+    // append a fresh schema-stamped session rather than truncating the
+    // previous daemon's history.
+    let obs = match cli::open_obs(false, events.as_deref(), true) {
+        Ok(obs) => obs,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
-    }
-    let obs = Obs::with_sinks(sinks);
-
-    let mut config = ServerConfig::new(state_dir);
-    if let Some(p) = socket {
-        config.socket = p;
-    }
-    if let Some(n) = slots {
-        config.slots = n;
-    }
-    if let Some(n) = slice_runs {
-        // 0 disables slicing: campaigns run to completion per dispatch.
-        config.slice_runs = (n > 0).then_some(n);
-    }
-    if let Some(n) = max_queue {
-        config.quota.max_queue_depth = n;
-    }
-    if let Some(n) = tenant_queue {
-        config.quota.tenant_max_queued = n;
-    }
-    if let Some(n) = tenant_running {
-        config.quota.tenant_max_running = n;
-    }
-    if let Some(n) = slot_failures {
-        config.slot_failure_budget = n;
-    }
-    config.chaos = chaos_plan.map(|plan| {
-        obs.warn(format!(
-            "chaos plan armed ({} fault(s)): {plan}",
-            plan.len()
-        ));
-        let mut injector = ChaosInjector::new(plan);
-        injector.attach_obs(&obs);
-        Arc::new(injector)
-    });
+    };
+    config.chaos = chaos_plan.map(|plan| cli::arm_chaos(plan, &obs));
 
     match service::serve(config, obs.clone()) {
         Ok(()) => ExitCode::SUCCESS,

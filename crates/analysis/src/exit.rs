@@ -1,7 +1,7 @@
 //! The pinned process exit-code contract of the analysis binaries.
 //!
-//! Both `study` and `campaign` report how they ended through these codes,
-//! and scripts/CI key off them — the mapping lives here, in one place, and
+//! `study`, `permea-server` and `permea-cli` report how they ended through
+//! these codes, and scripts/CI key off them — the mapping lives here, in one place, and
 //! is asserted end-to-end by `tests/exit_codes.rs`:
 //!
 //! | code | meaning |

@@ -40,7 +40,23 @@ pub fn explorer_html(
     metrics: Option<serde_json::Value>,
     event_logs: &[String],
 ) -> String {
-    let mut data = explorer_data(out, title);
+    let matrix_json = serde_json::to_string_pretty(&out.matrix).expect("matrix serialises");
+    render_page(
+        explorer_data(out, title),
+        metrics,
+        event_logs,
+        &[("matrix", &matrix_json)],
+    )
+}
+
+/// Renders `data` as a page, with the timeline stitched from `event_logs`
+/// (none when empty), the parsed `metrics` and the `raw` JSON blocks.
+pub fn render_page(
+    mut data: ExplorerData,
+    metrics: Option<serde_json::Value>,
+    event_logs: &[String],
+    raw: &[(&str, &str)],
+) -> String {
     if !event_logs.is_empty() {
         data = data.with_timeline(TimelineData::parse_logs(
             event_logs.iter().map(String::as_str),
@@ -49,8 +65,7 @@ pub fn explorer_html(
     if let Some(metrics) = metrics {
         data = data.with_metrics(metrics);
     }
-    let matrix_json = serde_json::to_string_pretty(&out.matrix).expect("matrix serialises");
-    render_html(&data, &[("matrix", &matrix_json)], &HtmlOptions::default())
+    render_html(&data, raw, &HtmlOptions::default())
 }
 
 #[cfg(test)]

@@ -13,7 +13,9 @@
 //!   paper,
 //! * [`report`] — writes everything to an artifact directory,
 //! * [`explorer`] — assembles the self-contained interactive
-//!   `explorer.html` page (`--html-out`).
+//!   `explorer.html` page (`--html-out`),
+//! * [`cli`] — parses the `study` binary's run flags once, for the presets
+//!   and for `study run SCENARIO`.
 //!
 //! The `study` binary (`cargo run -p permea-analysis --bin study`) runs the
 //! whole pipeline.
@@ -22,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod checks;
+pub mod cli;
 pub mod exit;
 pub mod explorer;
 pub mod figures;

@@ -5,8 +5,8 @@ use crate::checks::{render_checks, run_shape_checks, ShapeCheck};
 use crate::figures;
 use crate::study::StudyOutput;
 use crate::tables;
+use permea_fi::error::FiError;
 use std::fmt::Write as _;
-use std::io;
 use std::path::Path;
 
 /// The rendered study: every artifact as a `(filename, contents)` pair.
@@ -129,12 +129,12 @@ impl Report {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
-    pub fn write_to(&self, dir: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(dir)?;
+    /// [`FiError::ArtifactWrite`] for the first write that fails — an
+    /// environment failure (exit code 4).
+    pub fn write_to(&self, dir: &Path) -> Result<(), FiError> {
+        permea_fi::env::create_dir_all(dir)?;
         for (name, contents) in &self.files {
-            permea_fi::env::atomic_write(dir.join(name), contents.as_bytes())
-                .map_err(|e| io::Error::other(e.to_string()))?;
+            permea_fi::env::atomic_write(dir.join(name), contents.as_bytes())?;
         }
         Ok(())
     }

@@ -1,12 +1,12 @@
 //! The study-preset campaign runner and serve entry for the daemon.
 //!
-//! `permea-server` (and `study --serve`) host the generic
-//! [`permea_server::Daemon`] with this crate's [`StudyRunner`] plugged in:
-//! a submission payload is a small JSON descriptor naming a study preset,
-//! and each dispatched slice advances that study by a bounded number of
-//! injection runs through [`Study::run_resumable_budgeted`]. All campaign
-//! state lives in the daemon-assigned per-campaign directory — the run
-//! journal carries the execution, so slices, daemon restarts after
+//! `permea-server` hosts the generic [`permea_server::Daemon`] with this
+//! crate's [`StudyRunner`] plugged in: a submission payload is a small JSON
+//! descriptor naming a study preset or a scenario, and each dispatched
+//! slice advances that campaign by a bounded number of injection runs
+//! through [`permea_fi::campaign::Campaign::run_resumable_budgeted`]. All
+//! campaign state lives in the daemon-assigned per-campaign directory — the
+//! run journal carries the execution, so slices, daemon restarts after
 //! SIGKILL, and a standalone `study --resume` all converge to
 //! byte-identical artifacts.
 //!
@@ -25,7 +25,11 @@
 //! admission — a typed `Rejected { InvalidPayload }` response carrying
 //! the offending TOML key path, before anything is recorded.
 
-use crate::study::{Study, StudyConfig};
+use crate::study::StudyConfig;
+use permea_fi::campaign::{Campaign, CampaignConfig, SystemFactory};
+use permea_fi::error::FiError;
+use permea_fi::journal::{JournalHeader, RunJournal};
+use permea_fi::spec::CampaignSpec;
 use permea_obs::{JsonlSink, Obs, Sink};
 use permea_server::runner::{CampaignRunner, SliceOutcome, SliceRequest};
 use permea_server::signal;
@@ -90,7 +94,7 @@ impl StudyPayload {
             }
             (None, None) => Err("payload needs a \"preset\" or \"scenario\" string".to_string()),
             (Some(preset), None) => {
-                if !matches!(preset, "smoke" | "quick" | "full") {
+                if crate::cli::preset(preset).is_none() {
                     return Err(format!(
                         "unknown preset {preset:?} (expected smoke, quick or full)"
                     ));
@@ -133,11 +137,7 @@ impl StudyPayload {
         else {
             return None;
         };
-        let mut config = match preset.as_str() {
-            "smoke" => StudyConfig::smoke(),
-            "full" => StudyConfig::paper(),
-            _ => StudyConfig::quick(),
-        };
+        let mut config = crate::cli::preset(preset).unwrap_or_else(StudyConfig::quick);
         if let Some(seed) = *seed {
             config.seed = seed;
         }
@@ -174,16 +174,25 @@ impl CampaignRunner for StudyRunner {
     }
 }
 
-/// Opens (or resumes) the campaign's journal and emits the recovery event.
-fn open_journal(
+/// Advances one campaign by a slice: resumes its journal in the
+/// campaign directory, runs at most `req.slice_runs` fresh injection runs,
+/// and writes `result.json` once the campaign is complete.
+fn run_campaign_slice(
     req: &SliceRequest<'_>,
-    header: &permea_fi::journal::JournalHeader,
-) -> Result<permea_fi::journal::RunJournal, SliceOutcome> {
+    factory: &dyn SystemFactory,
+    spec: &CampaignSpec,
+    config: CampaignConfig,
+) -> SliceOutcome {
     let journal_path = req.dir.join("journal.jsonl");
-    let (journal, loaded) = permea_fi::journal::RunJournal::open_or_create(&journal_path, header)
-        .map_err(|e| SliceOutcome::Failed {
-        message: format!("opening journal {}: {e}", journal_path.display()),
-    })?;
+    let header = JournalHeader::new(spec, config.master_seed, config.horizon_ms);
+    let (mut journal, loaded) = match RunJournal::open_or_create(&journal_path, &header) {
+        Ok(opened) => opened,
+        Err(e) => {
+            return SliceOutcome::Failed {
+                message: format!("opening journal {}: {e}", journal_path.display()),
+            }
+        }
+    };
     if loaded.recovered > 0 {
         req.obs.emit(&permea_obs::Event::Service {
             tenant: req.tenant,
@@ -192,63 +201,45 @@ fn open_journal(
             detail: "resuming from run journal",
         });
     }
-    Ok(journal)
-}
-
-/// Maps an interrupted run to yield/cancel, anything else to failure.
-fn interrupted(req: &SliceRequest<'_>, e: permea_fi::error::FiError) -> SliceOutcome {
-    match e {
-        permea_fi::error::FiError::Interrupted { .. } => {
-            // Budget exhaustion and cancellation share a typed error;
-            // the flag distinguishes them.
-            if req.cancel.load(Ordering::Acquire) {
-                SliceOutcome::Cancelled
-            } else {
-                SliceOutcome::Yielded
+    let campaign = Campaign::new(factory, config).with_obs(slice_obs(req));
+    let result = match campaign.run_resumable_budgeted(
+        spec,
+        Some(&mut journal),
+        Some(req.cancel),
+        req.slice_runs,
+    ) {
+        Ok(result) => result,
+        // Budget exhaustion and cancellation share a typed error; the
+        // flag distinguishes them.
+        Err(FiError::Interrupted { .. }) if req.cancel.load(Ordering::Acquire) => {
+            return SliceOutcome::Cancelled
+        }
+        Err(FiError::Interrupted { .. }) => return SliceOutcome::Yielded,
+        Err(e) => {
+            return SliceOutcome::Failed {
+                message: e.to_string(),
             }
         }
-        e => SliceOutcome::Failed {
-            message: e.to_string(),
+    };
+    // Byte-identical to a standalone `study` / `study suite` run's
+    // result.json by construction (same serialisation of the same
+    // deterministic result), which is what the server smoke test hashes.
+    let json = serde_json::to_string(&result).expect("campaign results serialise");
+    match permea_fi::env::atomic_write(req.dir.join("result.json"), json.as_bytes()) {
+        Ok(()) => SliceOutcome::Finished,
+        Err(e) => SliceOutcome::Failed {
+            message: format!("writing result.json: {e}"),
         },
     }
 }
 
-/// Writes the completed campaign's `result.json` artifact.
-fn write_result(
-    req: &SliceRequest<'_>,
-    result: &permea_fi::results::CampaignResult,
-) -> SliceOutcome {
-    // Byte-identical to a standalone `study` / `study suite` run's
-    // result.json by construction (same serialisation of the same
-    // deterministic result), which is what the server smoke test hashes.
-    let json = match serde_json::to_string(result) {
-        Ok(json) => json,
-        Err(e) => {
-            return SliceOutcome::Failed {
-                message: format!("serialising result.json: {e}"),
-            }
-        }
-    };
-    if let Err(e) = permea_fi::env::atomic_write(req.dir.join("result.json"), json.as_bytes()) {
-        return SliceOutcome::Failed {
-            message: format!("writing result.json: {e}"),
-        };
-    }
-    SliceOutcome::Finished
-}
-
 fn run_preset_slice(req: &SliceRequest<'_>, config: StudyConfig) -> SliceOutcome {
-    let study = Study::new(config).with_obs(slice_obs(req));
-    let mut journal = match open_journal(req, &study.journal_header()) {
-        Ok(j) => j,
-        Err(outcome) => return outcome,
-    };
-    let output =
-        match study.run_resumable_budgeted(Some(&mut journal), Some(req.cancel), req.slice_runs) {
-            Ok(output) => output,
-            Err(e) => return interrupted(req, e),
-        };
-    write_result(req, &output.result)
+    let target = StudyConfig::target();
+    let factory = target
+        .factory(&config.workload())
+        .expect("the presets are valid arrestment grids");
+    let spec = config.spec(&target.topology());
+    run_campaign_slice(req, factory.as_ref(), &spec, config.campaign_config())
 }
 
 fn run_scenario_slice(req: &SliceRequest<'_>, toml: &str, threads: Option<usize>) -> SliceOutcome {
@@ -262,24 +253,13 @@ fn run_scenario_slice(req: &SliceRequest<'_>, toml: &str, threads: Option<usize>
         Err(e) => return SliceOutcome::Failed { message: e },
     };
     let options = SuiteOptions {
-        process_isolation: false,
         threads,
-        obs: slice_obs(req),
+        ..SuiteOptions::default()
     };
-    let mut journal = match open_journal(req, &study.journal_header()) {
-        Ok(j) => j,
-        Err(outcome) => return outcome,
-    };
-    let result = match study.run_resumable_budgeted(
-        &options,
-        Some(&mut journal),
-        Some(req.cancel),
-        req.slice_runs,
-    ) {
-        Ok(result) => result,
-        Err(e) => return interrupted(req, e),
-    };
-    write_result(req, &result)
+    let config = study
+        .campaign_config(&options)
+        .expect("an in-process configuration needs no worker command");
+    run_campaign_slice(req, study.factory(), study.campaign_spec(), config)
 }
 
 /// Telemetry for one slice: the study's events append to the campaign's

@@ -11,12 +11,9 @@ use permea_core::topology::SystemTopology;
 use permea_core::trace::TraceForest;
 use permea_fi::adaptive::AdaptivePlan;
 use permea_fi::campaign::{Campaign, CampaignConfig};
-use permea_fi::chaos::ChaosInjector;
 use permea_fi::error::FiError;
-use permea_fi::journal::{JournalHeader, RunJournal, DEFAULT_FSYNC_INTERVAL};
-use permea_fi::process::IsolationMode;
+use permea_fi::journal::{JournalHeader, RunJournal};
 use permea_fi::results::CampaignResult;
-use permea_fi::shard::Shard;
 use permea_fi::spec::{CampaignSpec, InjectionScope, PortTarget};
 use permea_obs::Obs;
 use permea_target::registry::Registry;
@@ -24,7 +21,6 @@ use permea_target::target::Target;
 use permea_target::workload::Workload;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 
 /// Configuration of the reproduction study.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -131,6 +127,19 @@ impl StudyConfig {
             .with_int("velocities", self.velocities as i64)
     }
 
+    /// The campaign configuration the study runs with: its threads, seed,
+    /// horizon, records and fast-forward over the executor defaults.
+    pub fn campaign_config(&self) -> CampaignConfig {
+        CampaignConfig {
+            threads: self.threads,
+            master_seed: self.seed,
+            keep_records: self.keep_records,
+            horizon_ms: self.horizon_ms,
+            fast_forward: self.fast_forward,
+            ..CampaignConfig::default()
+        }
+    }
+
     /// Expands the campaign spec: every input port of every module is a
     /// target (the 13 input ports across the 6 modules).
     pub fn spec(&self, topology: &SystemTopology) -> CampaignSpec {
@@ -187,12 +196,6 @@ pub struct StudyOutput {
 pub struct Study {
     config: StudyConfig,
     obs: Obs,
-    fsync_interval: usize,
-    isolation: IsolationMode,
-    max_retries: Option<u32>,
-    shard: Option<Shard>,
-    max_quarantined: Option<f64>,
-    chaos: Option<Arc<ChaosInjector>>,
 }
 
 impl Study {
@@ -201,12 +204,6 @@ impl Study {
         Study {
             config,
             obs: Obs::disabled(),
-            fsync_interval: DEFAULT_FSYNC_INTERVAL,
-            isolation: IsolationMode::InProcess,
-            max_retries: None,
-            shard: None,
-            max_quarantined: None,
-            chaos: None,
         }
     }
 
@@ -215,87 +212,6 @@ impl Study {
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
-    }
-
-    /// Overrides the journal fsync batching interval (must be greater than
-    /// zero; validated when the campaign runs).
-    pub fn with_fsync_interval(mut self, interval: usize) -> Self {
-        self.fsync_interval = interval;
-        self
-    }
-
-    /// Selects where injection runs execute: in-process sandboxes (the
-    /// default) or a supervised worker-process pool (kept off [`StudyConfig`]
-    /// so the serialized configuration shape is unchanged).
-    pub fn with_isolation(mut self, isolation: IsolationMode) -> Self {
-        self.isolation = isolation;
-        self
-    }
-
-    /// Overrides the retry budget for runs that kill their worker process
-    /// (only meaningful with [`IsolationMode::Process`]).
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = Some(max_retries);
-        self
-    }
-
-    /// Restricts the campaign to one shard's deterministic slice of the
-    /// coordinate space (`--shard i/n`). Shard journals share the unsharded
-    /// header and merge back with
-    /// [`permea_fi::journal::merge_journals`]. Note the *analysis* stages
-    /// of a sharded study see only this shard's runs — merge journals and
-    /// resume unsharded for the real estimates.
-    pub fn with_shard(mut self, shard: Option<Shard>) -> Self {
-        self.shard = shard;
-        self
-    }
-
-    /// Overrides the quarantine abort threshold
-    /// ([`CampaignConfig::max_quarantined_fraction`]): the campaign aborts
-    /// with exit-code-3 semantics once more than this fraction of runs is
-    /// quarantined.
-    pub fn with_max_quarantined(mut self, fraction: f64) -> Self {
-        self.max_quarantined = Some(fraction);
-        self
-    }
-
-    /// Attaches a chaos injector (see [`permea_fi::chaos`]): its
-    /// environment-fault plan is replayed against the study's campaign.
-    pub fn with_chaos(mut self, chaos: Arc<ChaosInjector>) -> Self {
-        self.chaos = Some(chaos);
-        self
-    }
-
-    /// The telemetry handle in use.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &StudyConfig {
-        &self.config
-    }
-
-    /// The campaign configuration this study runs with.
-    fn campaign_config(&self) -> CampaignConfig {
-        let mut config = CampaignConfig {
-            threads: self.config.threads,
-            master_seed: self.config.seed,
-            keep_records: self.config.keep_records,
-            horizon_ms: self.config.horizon_ms,
-            fast_forward: self.config.fast_forward,
-            journal_fsync_interval: self.fsync_interval,
-            isolation: self.isolation.clone(),
-            shard: self.shard,
-            ..CampaignConfig::default()
-        };
-        if let Some(max_retries) = self.max_retries {
-            config.max_retries = max_retries;
-        }
-        if let Some(fraction) = self.max_quarantined {
-            config.max_quarantined_fraction = fraction;
-        }
-        config
     }
 
     /// The journal header identifying this study's campaign — what a
@@ -359,12 +275,25 @@ impl Study {
         let factory = target
             .factory(&self.config.workload())
             .unwrap_or_else(|e| panic!("study grid rejected by the target: {e}"));
-        let mut campaign =
-            Campaign::new(factory.as_ref(), self.campaign_config()).with_obs(self.obs.clone());
-        if let Some(chaos) = &self.chaos {
-            campaign = campaign.with_chaos(chaos.clone());
-        }
+        let campaign = Campaign::new(factory.as_ref(), self.config.campaign_config())
+            .with_obs(self.obs.clone());
         let result = campaign.run_resumable_budgeted(&spec, journal, cancel, max_new_runs)?;
+        StudyOutput::analyse(topology, spec, result)
+    }
+}
+
+impl StudyOutput {
+    /// Analyses a finished campaign of `spec` on `topology`: the matrix
+    /// estimate, graph, measures, trees, TOC2 paths and placement plan.
+    ///
+    /// # Errors
+    ///
+    /// [`FiError`] when the result does not fit the topology.
+    pub fn analyse(
+        topology: SystemTopology,
+        spec: CampaignSpec,
+        result: CampaignResult,
+    ) -> Result<StudyOutput, FiError> {
         let matrix = permea_fi::estimate::estimate_matrix(&topology, &result)?;
         let graph = PermeabilityGraph::new(&topology, &matrix)
             .expect("matrix was shaped from this topology");
@@ -406,6 +335,7 @@ impl Study {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use permea_fi::shard::Shard;
 
     #[test]
     fn spec_targets_all_13_input_ports() {
@@ -462,6 +392,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("permea-study-shard-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let header = study.journal_header();
+        let target = StudyConfig::target();
+        let spec = config.spec(&target.topology());
+        let factory = target.factory(&config.workload()).unwrap();
 
         let full_path = dir.join("full.jsonl");
         let _ = std::fs::remove_file(&full_path);
@@ -472,11 +405,16 @@ mod tests {
 
         let mut shard_paths = Vec::new();
         for i in 0..2 {
-            let sharded = Study::new(config.clone()).with_shard(Some(Shard::new(i, 2).unwrap()));
+            let sharded = CampaignConfig {
+                shard: Some(Shard::new(i, 2).unwrap()),
+                ..config.campaign_config()
+            };
             let path = dir.join(format!("shard{i}.jsonl"));
             let _ = std::fs::remove_file(&path);
             let (mut j, _) = RunJournal::open_or_create(&path, &header).unwrap();
-            sharded.run_resumable(Some(&mut j), None).unwrap();
+            Campaign::new(factory.as_ref(), sharded)
+                .run_resumable(&spec, Some(&mut j), None)
+                .unwrap();
             j.sync().unwrap();
             drop(j);
             shard_paths.push(path);

@@ -210,6 +210,33 @@ fn environment_failure_exits_four() {
         "failed artifact write must not leave a result.json behind"
     );
     std::fs::remove_dir_all(&out).ok();
+    // An artifact directory that cannot be created (its parent is a regular
+    // file) is an environment failure, for the artifacts, the journal and
+    // the event log alike.
+    let dir = scratch("env_file");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("file");
+    std::fs::write(&file, b"not a directory").unwrap();
+    let sub = file.join("sub");
+    let events = file.join("events.jsonl");
+    for flags in [
+        vec!["--out".as_ref(), sub.as_os_str()],
+        vec!["--journal".as_ref(), "--out".as_ref(), sub.as_os_str()],
+        vec!["--events".as_ref(), events.as_os_str()],
+    ] {
+        let status = study()
+            .arg("--smoke")
+            .args(&flags)
+            .output()
+            .expect("study runs");
+        assert_eq!(
+            status.status.code(),
+            Some(4),
+            "{flags:?} stderr: {}",
+            String::from_utf8_lossy(&status.stderr)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
     // `study journal merge` follows the same contract: an unreadable shard
     // journal is an environment failure.
     let out = scratch("env_merge");

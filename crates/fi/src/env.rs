@@ -37,6 +37,19 @@ pub const RLIMIT_AS_ENV: &str = "PERMEA_RLIMIT_AS_BYTES";
 /// (`RLIMIT_CPU`).
 pub const RLIMIT_CPU_ENV: &str = "PERMEA_RLIMIT_CPU_SECS";
 
+/// Creates the artifact directory `dir` and its parents.
+///
+/// # Errors
+///
+/// Returns [`FiError::ArtifactWrite`] naming `dir`.
+pub fn create_dir_all(dir: impl AsRef<Path>) -> Result<(), FiError> {
+    let dir = dir.as_ref();
+    std::fs::create_dir_all(dir).map_err(|e| FiError::ArtifactWrite {
+        path: dir.display().to_string(),
+        message: e.to_string(),
+    })
+}
+
 /// Atomically replaces `path` with `bytes`: write to a sibling `*.tmp`,
 /// `fsync`, then rename into place. On any failure the destination is
 /// untouched and the temp file is cleaned up (best effort).

@@ -8,7 +8,7 @@ use crate::scenario::{ScenarioError, ScenarioSpec};
 use crate::target::Target;
 use crate::workload::Workload;
 use permea_fi::campaign::{Campaign, CampaignConfig};
-use permea_fi::env::atomic_write;
+use permea_fi::env::{atomic_write, create_dir_all};
 use permea_fi::error::FiError;
 use permea_fi::journal::{JournalHeader, RunJournal};
 use permea_fi::outcome::RunOutcome;
@@ -72,8 +72,8 @@ impl FepStats {
 #[derive(Debug, Clone, Default)]
 pub struct SuiteOptions {
     /// Run injection runs in supervised worker processes (requires the
-    /// current executable to understand `--worker`, as the `study` and
-    /// `campaign` bins do).
+    /// current executable to understand `--worker`, as the `study` binary
+    /// does).
     pub process_isolation: bool,
     /// Overrides every scenario's thread count.
     pub threads: Option<usize>,
@@ -153,6 +153,11 @@ impl ScenarioStudy {
     /// The target's topology.
     pub fn topology(&self) -> &permea_core::topology::SystemTopology {
         &self.topology
+    }
+
+    /// The system factory for the resolved workload.
+    pub fn factory(&self) -> &dyn permea_fi::campaign::SystemFactory {
+        self.factory.as_ref()
     }
 
     /// The expanded, validated campaign spec.
@@ -451,10 +456,7 @@ pub fn run_suite(
     }
 
     if let Some(out) = out_dir {
-        std::fs::create_dir_all(out).map_err(|e| FiError::ArtifactWrite {
-            path: out.display().to_string(),
-            message: e.to_string(),
-        })?;
+        create_dir_all(out)?;
         atomic_write(out.join("suite.json"), report.to_json().as_bytes())?;
         atomic_write(out.join("suite.txt"), report.render().as_bytes())?;
     }
@@ -514,15 +516,10 @@ fn run_one(
     };
     if let Some(out) = out_dir {
         let scenario_dir = out.join(stem);
-        let write = std::fs::create_dir_all(&scenario_dir)
-            .map_err(|e| FiError::ArtifactWrite {
-                path: scenario_dir.display().to_string(),
-                message: e.to_string(),
-            })
-            .and_then(|()| {
-                let json = serde_json::to_string(&result).expect("result serialises");
-                atomic_write(scenario_dir.join("result.json"), json.as_bytes())
-            });
+        let write = create_dir_all(&scenario_dir).and_then(|()| {
+            let json = serde_json::to_string(&result).expect("result serialises");
+            atomic_write(scenario_dir.join("result.json"), json.as_bytes())
+        });
         if let Err(e) = write {
             row.status = ScenarioStatus::Fail;
             row.detail.push(format!("artifact write failed: {e}"));
